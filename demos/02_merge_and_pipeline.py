@@ -34,9 +34,12 @@ for mode, extra in (
 print()
 result = reduce_tokens(tokens, PipelineConfig(mode="prumerge"))
 print("clusters behind the refined tokens (prumerge, auto k):")
-for cluster, refined in zip(result.merge.clusters, result.tokens):
-    print(f"  center {cluster.center:2d}: members {list(cluster.members)}, "
-          f"weights {np.round(cluster.weights, 3).tolist()}")
+merge = result.merge
+for center, members, weights, refined in zip(
+    result.source_indices, merge.members, merge.weights, result.tokens
+):
+    print(f"  center {center:2d}: members {members.tolist()}, "
+          f"weights {np.round(weights, 3).tolist()}")
     print(f"    refined token: {np.round(refined, 3).tolist()}")
 
 # Corpus-level statistics over images of varying complexity.

@@ -3,7 +3,6 @@ merging, and a roofline prefill-cost model."""
 
 from .core import (
     AttentionVector,
-    SimilarityMatrix,
     TokenSet,
     class_attention,
     key_similarity,
@@ -21,7 +20,7 @@ from .costmodel import (
     prefill_flops,
     roofline_time,
 )
-from .merging import Cluster, MergeResult, knn_members, merge_cluster, token_supplement
+from .merging import MergeResult, token_supplement
 from .pipeline import (
     PipelineConfig,
     ReducedTokenSet,

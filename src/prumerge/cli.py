@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import argparse
 import glob
+import io
 import json
+import os
 import sys
 
 from .costmodel import (
+    _HW_PRESETS,
+    _MODEL_PRESETS,
     cost_comparison,
     hardware_preset,
     load_hardware_profile,
@@ -33,6 +37,10 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 
 
+class _UsageError(Exception):
+    """Flags that parse but cannot be combined into a valid request."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the CLI contract reserves 2 for data errors
     def error(self, message):
@@ -41,13 +49,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _parse_pair(text: str, what: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"{what} must look like AxB, got {text!r}")
-    a, b = int(parts[0]), int(parts[1])
+def _parse_grid(text: str) -> tuple[int, int]:
+    try:
+        a, b = (int(part) for part in text.lower().split("x"))
+    except ValueError:
+        a = b = 0
     if a < 1 or b < 1:
-        raise ValueError(f"{what} dimensions must be positive")
+        raise argparse.ArgumentTypeError(f"must look like AxB with A, B >= 1, got {text!r}")
     return a, b
 
 
@@ -73,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor", type=int, default=1)
     p.add_argument("--ratio", type=_parse_ratio, default="auto")
     p.add_argument("--budget", type=int)
-    p.add_argument("--grid", help="RxC sampling grid for spatial mode")
+    p.add_argument("--grid", type=_parse_grid, help="RxC sampling grid for spatial mode")
     p.add_argument("--raw-weights", action="store_true")
     p.add_argument("--fences", choices=["upper", "both"], default="upper")
     p.add_argument("--out", required=True)
@@ -81,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", help="write a selection mask (.txt or .pgm)")
 
     p = sub.add_parser("synth", help="generate a synthetic token dump")
-    p.add_argument("--grid", required=True, help="HxW token grid")
+    p.add_argument("--grid", type=_parse_grid, required=True, help="HxW token grid")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--dk", type=int, required=True)
     p.add_argument("--heads", type=int, default=1)
@@ -92,8 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cost", help="prefill cost comparison")
-    p.add_argument("--model", required=True, help="7b, 13b, or a profile JSON path")
-    p.add_argument("--hw", default="v100", help="v100 or a profile JSON path")
+    p.add_argument("--model", required=True,
+                   help=f"{', '.join(_MODEL_PRESETS)}, or a profile JSON path")
+    p.add_argument("--hw", default="v100",
+                   help=f"{', '.join(_HW_PRESETS)}, or a profile JSON path")
     p.add_argument("--tokens-full", type=int, required=True)
     p.add_argument("--tokens-reduced", type=int, required=True)
     p.add_argument("--int4", action="store_true")
@@ -104,49 +114,68 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2) + "\n").encode()
+
+
+def _dump_bytes(write, *args) -> bytes:
+    buf = io.BytesIO()
+    write(*args, buf)
+    return buf.getvalue()
+
+
+def _write_outputs(outputs) -> None:
+    """Write (path, bytes) pairs all or nothing: each goes to a temporary
+    file beside its destination, and none is renamed into place until
+    every one of them has been written."""
+    staged = []
+    try:
+        for i, (path, data) in enumerate(outputs):
+            staged.append(f"{path}.{os.getpid()}-{i}.tmp")
+            with open(staged[-1], "wb") as fh:
+                fh.write(data)
+    except OSError as exc:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    for tmp, (path, _) in zip(staged, outputs):
+        os.replace(tmp, path)
 
 
 def _cmd_reduce(args) -> int:
-    mode = "prumerge_plus" if args.mode == "prumerge+" else args.mode
-    rows = cols = None
-    if args.grid is not None:
-        rows, cols = _parse_pair(args.grid, "--grid")
-    config = PipelineConfig(
-        mode=mode,
-        k=args.k,
-        floor=args.floor,
-        supplement_ratio=args.ratio,
-        budget=args.budget,
-        grid_rows=rows,
-        grid_cols=cols,
-        normalize_weights=not args.raw_weights,
-        fence_sides=args.fences,
-    )
+    rows, cols = args.grid or (None, None)
+    try:
+        config = PipelineConfig(
+            mode="prumerge_plus" if args.mode == "prumerge+" else args.mode,
+            k=args.k,
+            floor=args.floor,
+            supplement_ratio=args.ratio,
+            budget=args.budget,
+            grid_rows=rows,
+            grid_cols=cols,
+            normalize_weights=not args.raw_weights,
+            fence_sides=args.fences,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     tokens = read_token_dump(args.input)
     result = reduce_tokens(tokens, config)
-    write_reduced_dump(result.tokens, result.source_indices, result.n, args.out)
+    outputs = [(args.out, _dump_bytes(write_reduced_dump, result.tokens,
+                                      result.source_indices, result.n))]
     if args.stats:
-        _write_json(args.stats, result.stats())
+        outputs.append((args.stats, _json_bytes(result.stats())))
     if args.mask:
         fmt = "pgm" if args.mask.endswith(".pgm") else "text"
         rendering = render_mask(result.selection, tokens.grid, fmt)
-        if fmt == "pgm":
-            with open(args.mask, "wb") as fh:
-                fh.write(rendering)
-        else:
-            with open(args.mask, "w") as fh:
-                fh.write(rendering + "\n")
+        outputs.append((args.mask, rendering if fmt == "pgm" else (rendering + "\n").encode()))
+    _write_outputs(outputs)
     return 0
 
 
 def _cmd_synth(args) -> int:
-    h, w = _parse_pair(args.grid, "--grid")
     spec = SynthSpec(
-        grid=(h, w),
+        grid=args.grid,
         d=args.d,
         d_k=args.dk,
         n_heads=args.heads,
@@ -155,28 +184,26 @@ def _cmd_synth(args) -> int:
         cluster_count=args.clusters,
         seed=args.seed,
     )
-    write_token_dump(synth_generate(spec), args.out)
+    _write_outputs([(args.out, _dump_bytes(write_token_dump, synth_generate(spec)))])
     return 0
 
 
 def _cmd_cost(args) -> int:
     bytes_per_param = 0.5 if args.int4 else 2.0
-    if args.model.lower() in ("7b", "13b"):
+    if args.model.lower() in _MODEL_PRESETS:
         model = model_preset(args.model, bytes_per_param=bytes_per_param)
     else:
         model = load_model_profile(args.model, bytes_per_param=bytes_per_param)
-    if args.hw.lower() == "v100":
-        hw = hardware_preset("v100")
+    if args.hw.lower() in _HW_PRESETS:
+        hw = hardware_preset(args.hw)
     else:
         hw = load_hardware_profile(args.hw)
     full, reduced, savings = cost_comparison(
         model, hw, args.tokens_full, args.tokens_reduced
     )
-    _write_json(
-        args.report,
-        {"model": model.name, "hardware": hw.name,
-         "full": full.to_dict(), "reduced": reduced.to_dict(), "savings": savings},
-    )
+    report = {"model": model.name, "hardware": hw.name,
+              "full": full.to_dict(), "reduced": reduced.to_dict(), "savings": savings}
+    _write_outputs([(args.report, _json_bytes(report))])
     return 0
 
 
@@ -209,6 +236,9 @@ def cli_main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except (TokenDumpError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "TokenSet",
     "AttentionVector",
-    "SimilarityMatrix",
     "scaled_softmax",
     "class_attention",
     "key_similarity",
@@ -113,25 +112,6 @@ class AttentionVector:
         return self.a.size
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Pairwise key similarity s[i, j] = k_i . k_j."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=np.float64))
-        if self.s.ndim != 2 or self.s.shape[0] != self.s.shape[1]:
-            raise ValueError("similarity must be a square matrix")
-        scale = max(np.abs(self.s).max(), 1.0)
-        if np.abs(self.s - self.s.T).max() > 1e-5 * scale:
-            raise ValueError("similarity matrix is not symmetric")
-
-    @property
-    def n(self) -> int:
-        return self.s.shape[0]
-
-
 def scaled_softmax(logits, scale_dim: int) -> np.ndarray:
     """Numerically stable softmax of logits / sqrt(scale_dim).
 
@@ -165,15 +145,16 @@ def class_attention(tokens: TokenSet) -> AttentionVector:
     return AttentionVector(per_head.mean(axis=0))
 
 
-def key_similarity(tokens: TokenSet) -> SimilarityMatrix:
-    """Dot-product similarity between token keys.
+def key_similarity(tokens: TokenSet, centers) -> np.ndarray:
+    """Dot-product similarity of the center tokens' keys to every key:
+    an (m, n) float64 array, one row per center.
 
     With multiple heads, each token's per-head keys are concatenated
     into one vector first (equivalent to summing per-head dot products).
+    The products use einsum rather than a BLAS matmul: einsum rounds
+    every dot product the same way wherever its rows sit, so identical
+    keys give exactly equal similarities and rank by lower index.
     """
     # (n_heads, n, d_k) -> (n, n_heads * d_k)
     flat = np.transpose(tokens.K, (1, 0, 2)).reshape(tokens.n, -1).astype(np.float64)
-    s = flat @ flat.T
-    # enforce exact symmetry against rounding in the BLAS product
-    s = (s + s.T) / 2.0
-    return SimilarityMatrix(s)
+    return np.einsum("md,nd->mn", flat[np.asarray(centers, dtype=np.intp)], flat)

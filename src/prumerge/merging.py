@@ -5,7 +5,7 @@ included) form a cluster, and the center is replaced by the class-
 attention-weighted average of the cluster's embeddings. Weights are
 normalized within each cluster by default so the merged embedding keeps
 the scale of its members; an unnormalized mode is available for
-comparison.
+comparison. All clusters are ranked and merged in one batched pass.
 """
 
 from __future__ import annotations
@@ -14,88 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimilarityMatrix, TokenSet, key_similarity
+from .core import TokenSet, key_similarity
 from .selection import SelectionResult, attention_values
 
-__all__ = ["Cluster", "MergeResult", "knn_members", "merge_cluster", "token_supplement"]
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A kept token, its k nearest neighbors by key similarity, and the
-    normalized attention weights used to merge them."""
-
-    center: int
-    members: tuple[int, ...]
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(int(i) for i in self.members))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        if self.center not in self.members:
-            raise ValueError("cluster center must be a member")
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("cluster members must be distinct")
-        if np.any(self.weights < 0) or abs(self.weights.sum() - 1.0) > 1e-6:
-            raise ValueError("cluster weights must be a distribution")
+__all__ = ["MergeResult", "token_supplement"]
 
 
 @dataclass(frozen=True)
 class MergeResult:
-    """Refined token embeddings with per-center cluster diagnostics."""
+    """Refined token embeddings with per-center cluster diagnostics.
+
+    Row r of ``members`` lists the cluster of the r-th selected token,
+    ranked by descending key similarity; row r of ``weights`` holds the
+    attention weights the merge applied to those members.
+    """
 
     tokens: np.ndarray  # (m, d) float32
-    clusters: tuple[Cluster, ...]
-
-
-def knn_members(center: int, similarity: SimilarityMatrix, k: int) -> tuple[int, ...]:
-    """Indices of the k tokens most similar to the center, ranked by
-    descending similarity, ties broken by lower index.
-
-    The center participates; with typical keys its self-similarity is
-    maximal, so it ranks first.
-    """
-    n = similarity.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}]")
-    if not 0 <= center < n:
-        raise ValueError(f"center {center} out of range [0, {n})")
-    order = np.argsort(-similarity.s[center], kind="stable")
-    return tuple(int(i) for i in order[:k])
-
-
-def merge_cluster(members, attention, Y: np.ndarray, normalize: bool = True) -> np.ndarray:
-    """Attention-weighted average of the member embeddings.
-
-    Weights are the class-attention values at the member indices,
-    normalized to sum to 1 (uniform fallback when they sum to zero).
-    With ``normalize=False`` the raw attention values are used directly.
-    """
-    members = list(members)
-    if not members:
-        raise ValueError("empty cluster")
-    if len(set(members)) != len(members):
-        raise ValueError("duplicate cluster member")
-    if normalize and len(members) == 1:
-        # bit-exact pruning path
-        return np.asarray(Y[members[0]])
-    w = attention_values(attention)[members]
-    if normalize:
-        total = w.sum()
-        w = np.full(len(members), 1.0 / len(members)) if total == 0 else w / total
-    rows = np.asarray(Y, dtype=np.float64)[members]
-    merged = w @ rows
-    return merged.astype(Y.dtype) if hasattr(Y, "dtype") else merged
-
-
-def cluster_weights(members, attention) -> np.ndarray:
-    """Normalized attention weights over cluster members (uniform when
-    all member attentions are zero)."""
-    w = attention_values(attention)[list(members)]
-    total = w.sum()
-    if total == 0:
-        return np.full(len(members), 1.0 / len(members))
-    return w / total
+    members: np.ndarray  # (m, k) int
+    weights: np.ndarray  # (m, k) float64
 
 
 def token_supplement(
@@ -107,21 +43,36 @@ def token_supplement(
 ) -> MergeResult:
     """Merge each selected token with its k most key-similar tokens.
 
-    Clusters are built independently per center and may overlap. With
-    k = 1 the output is exactly the original embeddings at the selected
-    indices (pure pruning).
+    Members rank by descending similarity, ties broken by lower index.
+    Weights are the class-attention values at the members, normalized
+    per cluster (uniform fallback when they sum to zero); with
+    ``normalize=False`` the raw values are used. Clusters are built
+    independently per center and may overlap. With k = 1 the output is
+    exactly the original embeddings at the selected indices (pure
+    pruning).
     """
     if not 1 <= k <= tokens.n:
         raise ValueError(f"k must be in [1, {tokens.n}]")
-    sim = key_similarity(tokens)
-    refined = np.empty((selection.m, tokens.d), dtype=tokens.Y.dtype)
-    clusters = []
-    for row, center in enumerate(selection.indices):
-        members = knn_members(center, sim, k)
-        if center not in members:
-            # degenerate keys can rank k other tokens above the center's
-            # self-similarity; keep the center at the cost of the weakest
-            members = members[:-1] + (center,)
-        clusters.append(Cluster(center, members, cluster_weights(members, attention)))
-        refined[row] = merge_cluster(members, attention, tokens.Y, normalize=normalize)
-    return MergeResult(refined, tuple(clusters))
+    a = attention_values(attention)
+    if a.size != tokens.n:
+        raise ValueError(f"attention has {a.size} entries, expected n={tokens.n}")
+    centers = np.asarray(selection.indices)
+    similarity = key_similarity(tokens, centers)
+    # copy, so that the (m, n) ranking is not kept alive by the result
+    members = np.argsort(-similarity, axis=1, kind="stable")[:, :k].copy()
+    # degenerate keys can rank k other tokens above the center's
+    # self-similarity; keep the center at the cost of the weakest
+    missing = ~(members == centers[:, None]).any(axis=1)
+    members[missing, -1] = centers[missing]
+    weights = a[members]
+    if normalize:
+        totals = weights.sum(axis=1, keepdims=True)
+        weights = np.divide(weights, totals, out=np.full_like(weights, 1.0 / k),
+                            where=totals != 0)
+    if normalize and k == 1:
+        # bit-exact pruning path; the einsum's zero-started sum would turn -0.0 into 0.0
+        refined = tokens.Y[centers]
+    else:
+        rows = tokens.Y[members].astype(np.float64)
+        refined = np.einsum("mk,mkd->md", weights, rows).astype(tokens.Y.dtype)
+    return MergeResult(refined, members, weights)

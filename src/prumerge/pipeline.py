@@ -61,6 +61,19 @@ class PipelineConfig:
             raise ValueError("sequential mode requires a budget")
         if self.mode == "spatial" and (self.grid_rows is None or self.grid_cols is None):
             raise ValueError("spatial mode requires grid_rows and grid_cols")
+        adaptive = self.mode in ("prumerge", "prumerge_plus")
+        grid = (self.grid_rows, self.grid_cols)
+        # a field the mode never reads is a contradictory request, not a no-op
+        unused = {
+            "budget": self.mode != "sequential" and self.budget is not None,
+            "grid_rows/grid_cols": self.mode != "spatial" and grid != (None, None),
+            "supplement_ratio": self.mode != "prumerge_plus" and self.supplement_ratio != "auto",
+            "floor": not adaptive and self.floor != 1,
+            "fence_sides": not adaptive and self.fence_sides != "upper",
+        }
+        ignored = [name for name, hit in unused.items() if hit]
+        if ignored:
+            raise ValueError(f"mode {self.mode!r} does not use {', '.join(ignored)}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +113,8 @@ def _resolve_k(config: PipelineConfig, n: int, m: int, default_auto: int | None 
     return min(max(k, 1), n)
 
 
-def _finish(tokens: TokenSet, selection: SelectionResult, config: PipelineConfig, k: int):
-    attention = class_attention(tokens)
+def _finish(tokens: TokenSet, attention, selection: SelectionResult,
+            config: PipelineConfig, k: int):
     merge = token_supplement(
         selection, tokens, attention, k, normalize=config.normalize_weights
     )
@@ -121,7 +134,7 @@ def run_prumerge(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:
     attention = class_attention(tokens)
     selection = select_outliers(attention, floor=config.floor, sides=config.fence_sides)
     k = _resolve_k(config, tokens.n, selection.m)
-    return _finish(tokens, selection, config, k)
+    return _finish(tokens, attention, selection, config, k)
 
 
 def run_prumerge_plus(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:
@@ -137,7 +150,7 @@ def run_prumerge_plus(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenS
     )
     selection = uniform_spatial_supplement(base, tokens.grid, ratio)
     k = _resolve_k(config, tokens.n, selection.m)
-    return _finish(tokens, selection, config, k)
+    return _finish(tokens, attention, selection, config, k)
 
 
 def run_baseline(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:
@@ -150,7 +163,7 @@ def run_baseline(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:
     else:
         raise ValueError(f"config mode is {config.mode!r}, expected a baseline mode")
     k = _resolve_k(config, tokens.n, selection.m, default_auto=1)
-    return _finish(tokens, selection, config, k)
+    return _finish(tokens, class_attention(tokens), selection, config, k)
 
 
 def reduce_tokens(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:

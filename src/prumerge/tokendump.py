@@ -54,6 +54,19 @@ class TokenDumpError(ValueError):
     """Malformed or unreadable token dump."""
 
 
+def _write_bytes(data: bytes, destination) -> int:
+    """Write data to a path or binary file object; returns bytes written."""
+    if hasattr(destination, "write"):
+        destination.write(data)
+    else:
+        try:
+            with open(destination, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise TokenDumpError(f"cannot write {destination}: {exc}") from exc
+    return len(data)
+
+
 def write_token_dump(tokens: TokenSet, destination) -> int:
     """Write a TokenSet to a path or binary file object; returns bytes
     written."""
@@ -65,16 +78,7 @@ def write_token_dump(tokens: TokenSet, destination) -> int:
         np.ascontiguousarray(arr, dtype="<f4").tobytes()
         for arr in (tokens.q_cls, tokens.K, tokens.Y)
     )
-    data = header + payload
-    if hasattr(destination, "write"):
-        destination.write(data)
-    else:
-        try:
-            with open(destination, "wb") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise TokenDumpError(f"cannot write {destination}: {exc}") from exc
-    return len(data)
+    return _write_bytes(header + payload, destination)
 
 
 def _read_all(source) -> bytes:
@@ -131,20 +135,8 @@ def write_reduced_dump(tokens: np.ndarray, source_indices, n: int, destination) 
     tokens = np.ascontiguousarray(tokens, dtype="<f4")
     idx = np.ascontiguousarray(source_indices, dtype="<u4")
     m, d = tokens.shape
-    data = (
-        _REDUCED_HEADER.pack(REDUCED_MAGIC, VERSION, m, d, n)
-        + idx.tobytes()
-        + tokens.tobytes()
-    )
-    if hasattr(destination, "write"):
-        destination.write(data)
-    else:
-        try:
-            with open(destination, "wb") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise TokenDumpError(f"cannot write {destination}: {exc}") from exc
-    return len(data)
+    header = _REDUCED_HEADER.pack(REDUCED_MAGIC, VERSION, m, d, n)
+    return _write_bytes(header + idx.tobytes() + tokens.tobytes(), destination)
 
 
 def read_reduced_dump(source) -> tuple[np.ndarray, np.ndarray, int]:

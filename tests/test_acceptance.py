@@ -109,8 +109,7 @@ def test_criterion_4_merge_oracle_and_k1():
         result = token_supplement(sel, tokens, a, k=k)
         expected, _ = merge_oracle(selected, keys, a, Y, k)
         worst = max(worst, float(np.abs(result.tokens - expected).max()))
-        for cluster in result.clusters:
-            assert abs(cluster.weights.sum() - 1.0) <= 1e-6
+        assert np.abs(result.weights.sum(axis=1) - 1.0).max() <= 1e-6
         # k = 1 bit-equality
         pruned = token_supplement(sel, tokens, a, k=1)
         assert pruned.tokens.tobytes() == Y[selected].tobytes()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from prumerge import read_reduced_dump
+from prumerge import costmodel, read_reduced_dump
 from prumerge.cli import cli_main
 
 
@@ -70,6 +70,37 @@ class TestReduce:
     def test_unknown_subcommand(self):
         assert run(["transmogrify"]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "prumerge", "--k", "0"],
+        ["--mode", "sequential"],
+        ["--mode", "spatial", "--grid", "2"],
+        ["--mode", "prumerge+", "--ratio", "2"],
+        ["--mode", "prumerge", "--floor", "0"],
+        # flags the mode never reads contradict it; they are not ignored
+        ["--mode", "prumerge", "--budget", "3", "--grid", "2x2"],
+        ["--mode", "spatial", "--grid", "6x6", "--floor", "5", "--ratio", "0.5",
+         "--fences", "both"],
+        ["--mode", "sequential", "--budget", "8", "--ratio", "0.5"],
+    ])
+    def test_config_errors_are_usage_errors(self, dump, tmp_path, capsys, flags):
+        out = tmp_path / "r.prmr"
+        assert run(["reduce", "--input", str(dump), "--out", str(out)] + flags) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failing", ["--stats", "--mask"])
+    def test_failed_output_leaves_no_partial_outputs(self, dump, tmp_path, failing):
+        out = tmp_path / "r.prmr"
+        out.write_bytes(b"previous")
+        paths = {"--stats": tmp_path / "s.json", "--mask": tmp_path / "m.txt"}
+        paths[failing] = tmp_path / "missing" / "x"
+        code = run(["reduce", "--input", str(dump), "--mode", "prumerge",
+                    "--out", str(out), "--stats", str(paths["--stats"]),
+                    "--mask", str(paths["--mask"])])
+        assert code == 2
+        assert out.read_bytes() == b"previous"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.prmr", "t.prmg"]
+
 
 class TestCost:
     def test_7b_report(self, tmp_path):
@@ -91,6 +122,18 @@ class TestCost:
         fp16 = json.loads(paths["fp16"].read_text())
         int4 = json.loads(paths["int4"].read_text())
         assert int4["full"]["weight_bytes"] == fp16["full"]["weight_bytes"] / 4
+
+    def test_presets_come_from_the_cost_model(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(costmodel._MODEL_PRESETS, "1b", dict(
+            n_layers=16, d_model=2048, d_ff=5504, n_vocab=32000,
+            n_params=1.1e9, n_heads=16, ffn_kind="gated_three_matrix"))
+        monkeypatch.setitem(costmodel._HW_PRESETS, "a100",
+                            dict(peak_flops=312e12, mem_bandwidth=2039e9))
+        report = tmp_path / "c.json"
+        assert run(["cost", "--model", "1B", "--hw", "A100", "--tokens-full", "616",
+                    "--tokens-reduced", "80", "--report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert (data["model"], data["hardware"]) == ("1b", "a100")
 
     def test_unknown_model_is_data_error(self, tmp_path):
         assert run(["cost", "--model", "70b", "--tokens-full", "10",

@@ -116,20 +116,22 @@ class TestClassAttention:
 class TestKeySimilarity:
     def test_orthonormal_keys_identity(self):
         tokens = make_tokens(np.eye(4), grid=(2, 2))
-        np.testing.assert_allclose(key_similarity(tokens).s, np.eye(4), atol=1e-7)
+        np.testing.assert_allclose(key_similarity(tokens, range(4)), np.eye(4), atol=1e-7)
 
     def test_equal_keys_constant(self):
         v = np.array([1.0, -2.0, 0.5])
         tokens = make_tokens(np.tile(v, (5, 1)))
         np.testing.assert_allclose(
-            key_similarity(tokens).s, np.full((5, 5), v @ v), atol=1e-5
+            key_similarity(tokens, range(5)), np.full((5, 5), v @ v), atol=1e-5
         )
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         keys = rng.normal(size=(6, 3)).astype(np.float32)
         tokens = make_tokens(keys, grid=(2, 3))
-        assert np.abs(key_similarity(tokens).s - dot_table(keys)).max() < 1e-6
+        rows = key_similarity(tokens, [1, 4])  # only the centers' rows
+        assert rows.shape == (2, 6) and rows.dtype == np.float64
+        assert np.abs(rows - dot_table(keys)[[1, 4]]).max() < 1e-6
 
     def test_multi_head_concatenates(self):
         rng = np.random.default_rng(4)
@@ -137,7 +139,7 @@ class TestKeySimilarity:
         tokens = TokenSet(grid=(1, 5), q_cls=np.zeros((2, 3)), K=K,
                           Y=np.zeros((5, 2)))
         flat = np.concatenate([K[0], K[1]], axis=1)
-        assert np.abs(key_similarity(tokens).s - dot_table(flat)).max() < 1e-6
+        assert np.abs(key_similarity(tokens, range(5)) - dot_table(flat)).max() < 1e-6
 
     @given(st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
@@ -145,7 +147,7 @@ class TestKeySimilarity:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 17))
         keys = rng.normal(size=(n, 3)).astype(np.float32)
-        s = key_similarity(make_tokens(keys)).s
+        s = key_similarity(make_tokens(keys), range(n))
         eigs = np.linalg.eigvalsh(s)
         assert eigs.min() >= -1e-4 * max(np.abs(s).max(), 1e-12)
 

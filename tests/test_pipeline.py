@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import prumerge.pipeline
 from prumerge import (
     PipelineConfig,
     SynthSpec,
@@ -51,7 +54,7 @@ class TestRunPrumerge:
 
     def test_auto_k_is_ceil_n_over_m(self):
         result = run_prumerge(synth(32), PipelineConfig(mode="prumerge"))
-        assert all(len(c.members) == 18 for c in result.merge.clusters)
+        assert result.merge.members.shape == (32, 18)
 
 
 class TestRunPrumergePlus:
@@ -102,7 +105,7 @@ class TestBaselines:
         tokens = synth(10, seed=8)
         config = PipelineConfig(mode="spatial", grid_rows=4, grid_cols=4, k=4)
         result = run_baseline(tokens, config)
-        assert all(len(c.members) == 4 for c in result.merge.clusters)
+        assert result.merge.members.shape == (16, 4)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="budget"):
@@ -111,6 +114,20 @@ class TestBaselines:
             PipelineConfig(mode="spatial")
         with pytest.raises(ValueError, match="mode"):
             PipelineConfig(mode="random")
+
+    @pytest.mark.parametrize("mode, fields, unused", [
+        ("prumerge", {"budget": 3, "grid_rows": 2, "grid_cols": 2},
+         "budget, grid_rows/grid_cols"),
+        ("prumerge", {"supplement_ratio": 0.5}, "supplement_ratio"),
+        ("prumerge_plus", {"budget": 3}, "budget"),
+        ("sequential", {"budget": 4, "grid_rows": 2, "grid_cols": 2}, "grid_rows/grid_cols"),
+        ("spatial", {"grid_rows": 2, "grid_cols": 2, "floor": 5,
+                     "supplement_ratio": 0.5, "fence_sides": "both"},
+         "supplement_ratio, floor, fence_sides"),
+    ])
+    def test_fields_the_mode_ignores_are_rejected(self, mode, fields, unused):
+        with pytest.raises(ValueError, match=f"does not use {unused}$"):
+            PipelineConfig(mode=mode, **fields)
 
 
 class TestDeterminismAndDispatch:
@@ -129,6 +146,33 @@ class TestDeterminismAndDispatch:
         ms = [reduce_tokens(synth(p, seed=31), PipelineConfig(mode="prumerge")).m
               for p in (1, 8, 32, 64)]
         assert ms == [1, 8, 32, 64]
+
+    @pytest.mark.parametrize("mode, kw", [
+        ("prumerge", {}), ("prumerge_plus", {}), ("sequential", {"budget": 16}),
+        ("spatial", {"grid_rows": 4, "grid_cols": 4}),
+    ])
+    def test_class_attention_computed_once(self, monkeypatch, mode, kw):
+        calls = []
+
+        def counting(tokens):
+            calls.append(tokens)
+            return class_attention(tokens)
+
+        monkeypatch.setattr(prumerge.pipeline, "class_attention", counting)
+        reduce_tokens(synth(12), PipelineConfig(mode=mode, **kw))
+        assert len(calls) == 1
+
+    def test_no_quadratic_allocation(self):
+        # n = 2304: an n x n float64 similarity matrix alone is 42 MB
+        tokens = synth_generate(SynthSpec(grid=(48, 48), d=16, d_k=8,
+                                          n_spikes=32, seed=3))
+        tracemalloc.start()
+        try:
+            reduce_tokens(tokens, PipelineConfig(mode="prumerge"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tokens.n ** 2  # bytes: an eighth of one such matrix
 
     def test_source_indices_ascending(self):
         result = reduce_tokens(synth(20), PipelineConfig(mode="prumerge_plus"))

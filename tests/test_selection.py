@@ -158,7 +158,9 @@ class TestUniformSupplement:
         rng = np.random.default_rng(seed)
         h, w = int(rng.integers(1, 25)), int(rng.integers(1, 25))
         ratio = float(rng.uniform(0.01, 1.0))
-        base = sorted(rng.choice(h * w, size=int(rng.integers(1, 5)), replace=False))
+        # at most h * w base indices: a 1x1 grid cannot hold more
+        size = int(rng.integers(1, min(5, h * w + 1)))
+        base = sorted(rng.choice(h * w, size=size, replace=False))
         sel = uniform_spatial_supplement(
             select_outliers_from(base, h * w), (h, w), ratio
         )
