@@ -149,12 +149,48 @@ def key_similarity(tokens: TokenSet, centers) -> np.ndarray:
     """Dot-product similarity of the center tokens' keys to every key:
     an (m, n) float64 array, one row per center.
 
-    With multiple heads, each token's per-head keys are concatenated
-    into one vector first (equivalent to summing per-head dot products).
-    The products use einsum rather than a BLAS matmul: einsum rounds
-    every dot product the same way wherever its rows sit, so identical
-    keys give exactly equal similarities and rank by lower index.
+    With multiple heads, the similarity is the sum of the per-head dot
+    products (equal to concatenating each token's per-head keys). Each
+    head's keys are cast to float64 and multiplied with one BLAS
+    product. BLAS may round equal dot products differently depending on
+    where a column sits, so every token whose key equals an earlier
+    token's key (over all heads, with -0.0 equal to 0.0) is given that
+    earlier token's column: identical keys get exactly equal
+    similarities and rank by lower index.
     """
-    # (n_heads, n, d_k) -> (n, n_heads * d_k)
-    flat = np.transpose(tokens.K, (1, 0, 2)).reshape(tokens.n, -1).astype(np.float64)
-    return np.einsum("md,nd->mn", flat[np.asarray(centers, dtype=np.intp)], flat)
+    centers = np.asarray(centers, dtype=np.intp)
+    # any fixed probe gives equal keys equal fingerprints; sines of the
+    # integers have no simple linear relations, so distinct keys rarely
+    # share one
+    probe = np.sin(np.arange(1, tokens.n_heads * tokens.d_k + 1)).reshape(tokens.n_heads, -1)
+    similarity = None
+    fingerprint = np.zeros(tokens.n)
+    for head_keys, head_probe in zip(tokens.K, probe):
+        keys = head_keys.astype(np.float64)
+        product = keys[centers] @ keys.T
+        if similarity is None:
+            similarity = product
+        else:
+            similarity += product
+        # einsum rounds every row the same way, so equal keys get equal fingerprints
+        fingerprint += np.einsum("nd,d->n", keys, head_probe)
+    dup, first = _equal_key_columns(tokens.K, fingerprint)
+    similarity[:, dup] = similarity[:, first]
+    return similarity
+
+
+def _equal_key_columns(K, fingerprint):
+    """Tokens whose key equals an earlier token's key, and that earlier
+    token's index. Only tokens that share a fingerprint are compared,
+    byte-wise, so distinct keys with equal fingerprints stay distinct."""
+    _, group, counts = np.unique(fingerprint, return_inverse=True, return_counts=True)
+    shared = np.flatnonzero(counts[group] > 1)
+    if shared.size == 0:
+        return shared, shared
+    # adding +0.0 turns -0.0 into 0.0, so byte equality is value equality
+    keys = K[:, shared].transpose(1, 0, 2).reshape(shared.size, -1) + np.float32(0.0)
+    rows = keys.view(np.dtype((np.void, keys[0].nbytes))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    first = shared[first[inverse]]
+    dup = first != shared
+    return shared[dup], first[dup]

@@ -57,9 +57,7 @@ def token_supplement(
     if a.size != tokens.n:
         raise ValueError(f"attention has {a.size} entries, expected n={tokens.n}")
     centers = np.asarray(selection.indices)
-    similarity = key_similarity(tokens, centers)
-    # copy, so that the (m, n) ranking is not kept alive by the result
-    members = np.argsort(-similarity, axis=1, kind="stable")[:, :k].copy()
+    members = _top_k(key_similarity(tokens, centers), k)
     # degenerate keys can rank k other tokens above the center's
     # self-similarity; keep the center at the cost of the weakest
     missing = ~(members == centers[:, None]).any(axis=1)
@@ -73,6 +71,26 @@ def token_supplement(
         # bit-exact pruning path; the einsum's zero-started sum would turn -0.0 into 0.0
         refined = tokens.Y[centers]
     else:
-        rows = tokens.Y[members].astype(np.float64)
-        refined = np.einsum("mk,mkd->md", weights, rows).astype(tokens.Y.dtype)
+        refined = np.einsum("mk,mkd->md", weights, tokens.Y[members],
+                            dtype=np.float64).astype(tokens.Y.dtype)
     return MergeResult(refined, members, weights)
+
+
+def _top_k(similarity, k):
+    """Column indices of each row's k largest entries, largest first,
+    ties by lower index: the first k columns of a stable descending sort.
+
+    Overwrites similarity with its negation. For k < n a partition finds
+    each row's k-th value, and only the entries at least that large (the
+    top k plus any ties at the boundary) are sorted.
+    """
+    negated = np.negative(similarity, out=similarity)
+    if k == negated.shape[1]:
+        return np.argsort(negated, axis=1, kind="stable")
+    # the fancy index copies the column, so the partitioned (m, n) copy is freed here
+    kth = np.partition(negated, k - 1, axis=1)[:, [k - 1]]
+    rows, cols = np.nonzero(negated <= kth)  # row-major: cols ascend within a row
+    order = np.lexsort((negated[rows, cols], rows))
+    counts = np.bincount(rows, minlength=negated.shape[0])
+    starts = np.cumsum(counts) - counts
+    return cols[order[starts[:, None] + np.arange(k)]]

@@ -23,6 +23,8 @@ so identical seeds give bit-identical dumps across platforms.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -81,42 +83,89 @@ def write_token_dump(tokens: TokenSet, destination) -> int:
     return _write_bytes(header + payload, destination)
 
 
-def _read_all(source) -> bytes:
+@contextlib.contextmanager
+def _opened(source):
+    """A binary file for a path or an already open binary file object."""
     if hasattr(source, "read"):
-        return source.read()
+        yield source
+        return
     try:
-        with open(source, "rb") as fh:
-            return fh.read()
+        fh = open(source, "rb")
     except OSError as exc:
         raise TokenDumpError(f"cannot read {source}: {exc}") from exc
+    with fh:
+        yield fh
 
 
-def read_token_dump(source) -> TokenSet:
-    """Read and validate a TokenSet from a path or binary file object."""
-    data = _read_all(source)
-    if len(data) < _HEADER.size:
-        raise TokenDumpError("truncated header")
-    magic, version, n, d, d_k, n_heads, h, w = _HEADER.unpack_from(data)
-    if magic != MAGIC:
+def _bytes_left(fh):
+    """Bytes from the current position to the end, or None when fh
+    cannot seek."""
+    seekable = getattr(fh, "seekable", None)
+    if seekable is None or not seekable():
+        return None
+    here = fh.tell()
+    end = fh.seek(0, os.SEEK_END)
+    fh.seek(here)
+    return end - here
+
+
+def _size_error(actual: int, expected: int) -> TokenDumpError:
+    if actual < expected:
+        return TokenDumpError(f"truncated payload: {actual} < {expected} bytes")
+    return TokenDumpError(f"trailing bytes: {actual} > {expected}")
+
+
+def _read_dump(source, header: struct.Struct, payload_size):
+    """Read a dump's header, check the size it declares, then read the
+    payload. ``payload_size`` validates the unpacked header fields and
+    returns the payload byte count they declare. When the source can
+    seek, a wrong size is rejected before any of the payload is read.
+    Returns (fields, payload)."""
+    with _opened(source) as fh:
+        head = fh.read(header.size)
+        if len(head) < header.size:
+            raise TokenDumpError("truncated header")
+        fields = header.unpack(head)
+        size = payload_size(fields)
+        expected = header.size + size
+        left = _bytes_left(fh)
+        if left is not None and left != size:
+            raise _size_error(header.size + left, expected)
+        payload = fh.read(size)
+        if len(payload) < size:
+            raise _size_error(header.size + len(payload), expected)
+        if left is None and fh.read(1):
+            raise TokenDumpError(f"trailing bytes: more than {expected}")
+    return fields, payload
+
+
+def _check_header(magic, version, expected_magic):
+    if magic != expected_magic:
         raise TokenDumpError(f"bad magic {magic!r}")
     if version != VERSION:
         raise TokenDumpError(f"unsupported version {version}")
+
+
+def _token_payload_size(fields) -> int:
+    magic, version, n, d, d_k, n_heads, h, w = fields
+    _check_header(magic, version, MAGIC)
     for name, value in (("n", n), ("d", d), ("d_k", d_k), ("n_heads", n_heads),
                         ("h", h), ("w", w)):
         if value < 1:
             raise TokenDumpError(f"bad dimension {name}={value}")
     if h * w != n:
         raise TokenDumpError(f"grid mismatch: {h}x{w} != n={n}")
-    counts = (n_heads * d_k, n_heads * n * d_k, n * d)
-    expected = _HEADER.size + 4 * sum(counts)
-    if len(data) < expected:
-        raise TokenDumpError(f"truncated payload: {len(data)} < {expected} bytes")
-    if len(data) > expected:
-        raise TokenDumpError(f"trailing bytes: {len(data)} > {expected}")
-    offset = _HEADER.size
+    return 4 * (n_heads * d_k + n_heads * n * d_k + n * d)
+
+
+def read_token_dump(source) -> TokenSet:
+    """Read and validate a TokenSet from a path or binary file object."""
+    fields, payload = _read_dump(source, _HEADER, _token_payload_size)
+    _, _, n, d, d_k, n_heads, h, w = fields
+    offset = 0
     arrays = []
-    for count in counts:
-        arrays.append(np.frombuffer(data, dtype="<f4", count=count, offset=offset))
+    for count in (n_heads * d_k, n_heads * n * d_k, n * d):
+        arrays.append(np.frombuffer(payload, dtype="<f4", count=count, offset=offset))
         offset += 4 * count
     q_cls, K, Y = arrays
     try:
@@ -139,23 +188,17 @@ def write_reduced_dump(tokens: np.ndarray, source_indices, n: int, destination) 
     return _write_bytes(header + idx.tobytes() + tokens.tobytes(), destination)
 
 
+def _reduced_payload_size(fields) -> int:
+    magic, version, m, d, _ = fields
+    _check_header(magic, version, REDUCED_MAGIC)
+    return 4 * m + 4 * m * d
+
+
 def read_reduced_dump(source) -> tuple[np.ndarray, np.ndarray, int]:
     """Read a reduced dump; returns (tokens, source_indices, n)."""
-    data = _read_all(source)
-    if len(data) < _REDUCED_HEADER.size:
-        raise TokenDumpError("truncated header")
-    magic, version, m, d, n = _REDUCED_HEADER.unpack_from(data)
-    if magic != REDUCED_MAGIC:
-        raise TokenDumpError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise TokenDumpError(f"unsupported version {version}")
-    expected = _REDUCED_HEADER.size + 4 * m + 4 * m * d
-    if len(data) != expected:
-        raise TokenDumpError(f"payload size {len(data)} != {expected} bytes")
-    idx = np.frombuffer(data, dtype="<u4", count=m, offset=_REDUCED_HEADER.size)
-    tokens = np.frombuffer(
-        data, dtype="<f4", count=m * d, offset=_REDUCED_HEADER.size + 4 * m
-    ).reshape(m, d)
+    (_, _, m, d, n), payload = _read_dump(source, _REDUCED_HEADER, _reduced_payload_size)
+    idx = np.frombuffer(payload, dtype="<u4", count=m)
+    tokens = np.frombuffer(payload, dtype="<f4", count=m * d, offset=4 * m).reshape(m, d)
     return tokens, idx, n
 
 

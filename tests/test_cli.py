@@ -64,6 +64,16 @@ class TestReduce:
                     "--mode", "prumerge", "--out", str(tmp_path / "r.prmr")])
         assert code == 2
 
+    def test_oversized_input_is_data_error(self, dump, tmp_path, capsys):
+        with open(dump, "ab") as fh:
+            fh.write(bytes(2**20))
+        out = tmp_path / "r.prmr"
+        code = run(["reduce", "--input", str(dump), "--mode", "prumerge",
+                    "--out", str(out)])
+        assert code == 2
+        assert "trailing bytes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_is_usage_error(self, dump, capsys):
         assert run(["reduce", "--input", str(dump), "--frobnicate"]) == 1
 

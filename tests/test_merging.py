@@ -1,10 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prumerge import AttentionVector, TokenSet, class_attention, token_supplement
+from prumerge import (
+    AttentionVector,
+    SynthSpec,
+    TokenSet,
+    class_attention,
+    select_outliers,
+    synth_generate,
+    token_supplement,
+)
+from prumerge.core import _equal_key_columns
 from prumerge.selection import SelectionResult
+from prumerge.tokendump import demo_corpus_specs
 from oracles import merge_oracle
 
 
@@ -212,3 +224,109 @@ class TestTokenSupplement:
         base = token_supplement(sel, tokens, a, k=4).tokens
         scaled = token_supplement(sel, tokens, lam * a, k=4).tokens
         assert np.abs(base - scaled).max() < 1e-6
+
+
+def assert_matches_oracle(flat, n_heads, rng, ks=None):
+    """Members and merged tokens equal the oracle's, for every k in ks
+    (default 1 .. n). Row i of flat is token i's key, heads concatenated."""
+    flat = np.asarray(flat, dtype=np.float32)
+    n = flat.shape[0]
+    K = flat.reshape(n, n_heads, -1).transpose(1, 0, 2)
+    tokens = TokenSet(grid=(1, n), q_cls=np.ones((n_heads, K.shape[2])), K=K,
+                      Y=rng.normal(size=(n, 3)))
+    a = rng.exponential(size=n)
+    selected = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+    for k in ks or range(1, n + 1):
+        result = token_supplement(selection_of(selected), tokens, a, k=k)
+        expected, member_lists = merge_oracle(selected, flat, a, tokens.Y, k)
+        assert [tuple(row) for row in result.members.tolist()] == member_lists, k
+        assert np.abs(result.tokens - expected).max() < 1e-6
+
+
+class TestRankingEdgeCases:
+    """Heavy ties: the ranking must stay the oracle's, ties to lower index."""
+
+    @given(st.integers(0, 10**6), st.sampled_from([(1, 8), (4, 4), (16, 2)]),
+           st.integers(1, 3), st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_keys_from_a_small_pool(self, seed, shape, pool_size, n):
+        n_heads, d_k = shape
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(size=(pool_size, n_heads * d_k)).astype(np.float32)
+        assert_matches_oracle(pool[rng.integers(0, pool_size, size=n)], n_heads, rng)
+
+    @given(st.integers(0, 10**6), st.sampled_from([(1, 3), (4, 1), (16, 1)]),
+           st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_distinct_keys_with_equal_dot_products(self, seed, shape, n):
+        # small integer keys: every dot product is exact in any summation
+        # order, and many distinct keys share a value with some other key
+        n_heads, d_k = shape
+        rng = np.random.default_rng(seed)
+        flat = rng.integers(-1, 2, size=(n, n_heads * d_k)).astype(np.float32)
+        assert_matches_oracle(flat, n_heads, rng)
+
+    @given(st.integers(0, 10**6), st.sampled_from([1, 4, 16]), st.integers(1, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_keys_differing_only_in_the_sign_of_zero(self, seed, n_heads, n):
+        # half the coordinates are zero, and each token flips their signs
+        # at random: the keys are equal, the bytes are not
+        rng = np.random.default_rng(seed)
+        pool = rng.normal(size=(int(rng.integers(1, 4)), 64)).astype(np.float32)
+        pool[:, rng.random(64) < 0.5] = 0.0
+        flat = pool[rng.integers(0, len(pool), size=n)]
+        flat[(flat == 0) & (rng.random(flat.shape) < 0.5)] = -0.0
+        assert_matches_oracle(flat, n_heads, rng, ks=sorted({1, int(rng.integers(1, n + 1)), n}))
+
+    @given(st.integers(0, 10**6), st.sampled_from([1, 4, 16]), st.integers(2, 10))
+    @settings(max_examples=30, deadline=None)
+    def test_distinct_keys_with_a_shared_fingerprint(self, seed, n_heads, n):
+        # 2**80 in the first coordinate swamps any fixed linear fingerprint
+        # of the small coordinates, so these distinct keys look alike
+        # until compared exactly; keys without it tell them apart
+        rng = np.random.default_rng(seed)
+        flat = np.zeros((n, n_heads * 2), np.float32)
+        big = rng.random(n) < 0.6
+        flat[big, 0] = 2.0**80
+        flat[:, 1] = rng.integers(1, 5, size=n)
+        assert_matches_oracle(flat, n_heads, rng)
+
+    def test_single_token(self):
+        assert_matches_oracle(np.array([[0.5, -2.0]]), 1, np.random.default_rng(0))
+
+    def test_equal_fingerprints_are_compared_exactly(self):
+        K = np.array([[[1.0], [2.0], [1.0], [-0.0], [0.0], [2.0]]], np.float32)
+        dup, first = _equal_key_columns(K, np.zeros(6))
+        assert dup.tolist() == [2, 4, 5] and first.tolist() == [0, 3, 1]
+
+
+def supplement_peak(tokens):
+    """tracemalloc peak of token_supplement at the pipeline's selection
+    and auto k, and the number of selected tokens."""
+    attention = class_attention(tokens)
+    selection = select_outliers(attention)
+    k = -(-tokens.n // selection.m)
+    tracemalloc.start()
+    try:
+        token_supplement(selection, tokens, attention, k)
+        return tracemalloc.get_traced_memory()[1], selection.m
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_float64_copy_of_the_keys():
+    # ViT-L/14@336 shapes: one float64 copy of K is 4.7 MB, and a float64
+    # gather of the (m, k, d) member embeddings is as large again
+    tokens = synth_generate(SynthSpec(grid=(24, 24), d=1024, d_k=64, n_heads=16,
+                                      n_spikes=32, seed=1))
+    peak, _ = supplement_peak(tokens)
+    assert peak < 8 * tokens.K.size
+
+
+def test_small_shapes_allocate_two_similarity_blocks_at_most():
+    # at the demo corpus shape the (m, n) similarity rows dominate; the
+    # ranking may hold one more such block, not a negated copy and an
+    # index array besides
+    tokens = synth_generate(demo_corpus_specs()[0])
+    peak, m = supplement_peak(tokens)
+    assert peak < 2.5 * 8 * m * tokens.n

@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prumerge.pipeline
 from prumerge import (
     PipelineConfig,
     SynthSpec,
+    TokenSet,
     class_attention,
     corpus_stats,
     reduce_tokens,
@@ -19,6 +22,7 @@ from prumerge import (
     uniform_spatial_supplement,
 )
 from prumerge.tokendump import spike_positions
+from oracles import merge_oracle, outlier_indices
 
 
 def synth(n_spikes, seed=7, **kw):
@@ -55,6 +59,34 @@ class TestRunPrumerge:
     def test_auto_k_is_ceil_n_over_m(self):
         result = run_prumerge(synth(32), PipelineConfig(mode="prumerge"))
         assert result.merge.members.shape == (32, 18)
+
+    @given(st.integers(0, 10**6), st.sampled_from([1, 4, 16]), st.integers(1, 3),
+           st.sampled_from([0, 1, 100]))
+    @settings(max_examples=40, deadline=None)
+    def test_all_equal_attention_falls_back_and_clamps_k(self, seed, n_heads, floor, excess):
+        # a zero class query gives every token the same attention, so the
+        # IQR is 0, no token clears the fence and the floor fallback keeps
+        # the lowest indices; a k above n is clamped to n
+        rng = np.random.default_rng(seed)
+        h, w = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        n, d_k = h * w, 2
+        pool = rng.normal(size=(int(rng.integers(1, 4)), n_heads * d_k)).astype(np.float32)
+        flat = pool[rng.integers(0, len(pool), size=n)]
+        tokens = TokenSet(grid=(h, w), q_cls=np.zeros((n_heads, d_k)),
+                          K=flat.reshape(n, n_heads, d_k).transpose(1, 0, 2),
+                          Y=rng.normal(size=(n, 3)).astype(np.float32))
+        floor = min(floor, n)
+        result = reduce_tokens(tokens, PipelineConfig(mode="prumerge", k=n + excess,
+                                                      floor=floor))
+        attention = class_attention(tokens).a
+        assert np.all(attention == attention[0])
+        assert result.selection.method == "floor_fallback"
+        assert list(result.source_indices) == outlier_indices(attention, floor)
+        assert list(result.source_indices) == list(range(floor))
+        expected, member_lists = merge_oracle(result.source_indices, flat, attention,
+                                              tokens.Y, n)
+        assert [tuple(row) for row in result.merge.members.tolist()] == member_lists
+        assert np.abs(result.tokens - expected).max() < 1e-6
 
 
 class TestRunPrumergePlus:

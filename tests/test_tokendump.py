@@ -80,6 +80,35 @@ class TestDumpFormat:
         with pytest.raises(TokenDumpError, match="trailing"):
             read_token_dump(io.BytesIO(data))
 
+    def test_oversized_file_rejected_after_reading_the_header(self, tmp_path):
+        path = tmp_path / "t.prmg"
+        path.write_bytes(io_bytes(minimal_tokens()) + bytes(2**20))
+        with open(path, "rb") as fh:
+            with pytest.raises(TokenDumpError, match="trailing bytes"):
+                read_token_dump(fh)
+            assert fh.tell() == 32
+        stream = CountingReader(path.read_bytes())
+        with pytest.raises(TokenDumpError, match="trailing bytes"):
+            read_token_dump(stream)
+        assert stream.bytes_read == 32
+        with pytest.raises(TokenDumpError, match="trailing bytes"):
+            read_token_dump(path)
+
+    def test_truncated_file_rejected_after_reading_the_header(self):
+        stream = CountingReader(io_bytes(minimal_tokens())[:-2])
+        with pytest.raises(TokenDumpError, match="truncated payload"):
+            read_token_dump(stream)
+        assert stream.bytes_read == 32
+
+    @pytest.mark.parametrize("extra, message", [(b"\x00", "trailing bytes"),
+                                                (None, "truncated payload")])
+    def test_unseekable_stream_size_checked(self, extra, message):
+        data = io_bytes(minimal_tokens())
+        data = data + extra if extra else data[:-2]
+        with pytest.raises(TokenDumpError, match=message):
+            read_token_dump(Unseekable(data))
+        assert read_token_dump(Unseekable(io_bytes(minimal_tokens()))).K.tolist() == [[[1.5]]]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(TokenDumpError, match="cannot read"):
             read_token_dump(tmp_path / "nope.prmg")
@@ -110,6 +139,22 @@ def io_bytes(tokens):
     return buf.getvalue()
 
 
+class CountingReader(io.BytesIO):
+    """A seekable stream that counts the bytes read from it."""
+
+    bytes_read = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.bytes_read += len(data)
+        return data
+
+
+class Unseekable(io.BytesIO):
+    def seekable(self):
+        return False
+
+
 class TestReducedDump:
     def test_roundtrip(self):
         tokens = np.arange(6, dtype=np.float32).reshape(2, 3)
@@ -125,6 +170,14 @@ class TestReducedDump:
         write_reduced_dump(np.zeros((2, 3), np.float32), [0, 1], 4, buf)
         with pytest.raises(TokenDumpError):
             read_reduced_dump(io.BytesIO(buf.getvalue()[:-1]))
+
+    def test_trailing_bytes_rejected_after_reading_the_header(self):
+        buf = io.BytesIO()
+        write_reduced_dump(np.zeros((2, 3), np.float32), [0, 1], 4, buf)
+        stream = CountingReader(buf.getvalue() + bytes(2**20))
+        with pytest.raises(TokenDumpError, match="trailing bytes"):
+            read_reduced_dump(stream)
+        assert stream.bytes_read == 20
 
 
 class TestSynthGenerate:
