@@ -80,13 +80,11 @@ def _top_k(similarity, k):
     """Column indices of each row's k largest entries, largest first,
     ties by lower index: the first k columns of a stable descending sort.
 
-    Overwrites similarity with its negation. For k < n a partition finds
-    each row's k-th value, and only the entries at least that large (the
-    top k plus any ties at the boundary) are sorted.
+    Overwrites similarity with its negation. A partition finds each
+    row's k-th value, and only the entries at least that large (the top
+    k plus any ties at the boundary) are sorted.
     """
     negated = np.negative(similarity, out=similarity)
-    if k == negated.shape[1]:
-        return np.argsort(negated, axis=1, kind="stable")
     # the fancy index copies the column, so the partitioned (m, n) copy is freed here
     kth = np.partition(negated, k - 1, axis=1)[:, [k - 1]]
     rows, cols = np.nonzero(negated <= kth)  # row-major: cols ascend within a row

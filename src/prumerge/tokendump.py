@@ -131,11 +131,11 @@ def _read_dump(source, header: struct.Struct, payload_size):
         left = _bytes_left(fh)
         if left is not None and left != size:
             raise _size_error(header.size + left, expected)
-        payload = fh.read(size)
-        if len(payload) < size:
+        # an unseekable source is read to its end: read(size) would
+        # allocate a corrupt header's declared size before reading
+        payload = fh.read(-1 if left is None else size)
+        if len(payload) != size:
             raise _size_error(header.size + len(payload), expected)
-        if left is None and fh.read(1):
-            raise TokenDumpError(f"trailing bytes: more than {expected}")
     return fields, payload
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import struct
+import threading
 
 import pytest
 
@@ -72,6 +75,22 @@ class TestReduce:
                     "--out", str(out)])
         assert code == 2
         assert "trailing bytes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_huge_declared_size_from_a_pipe_is_data_error(self, tmp_path, capsys):
+        fifo = tmp_path / "in.prmg"
+        os.mkfifo(fifo)
+        big = 2**32 - 1  # n = h = big, w = 1: the header declares ~2^98 bytes
+        head = struct.pack("<4sIIIIIII", b"PRMG", 1, big, big, big, big, big, 1)
+        writer = threading.Thread(target=fifo.write_bytes, args=(head + bytes(12),))
+        writer.start()
+        out = tmp_path / "r.prmr"
+        code = run(["reduce", "--input", str(fifo), "--mode", "prumerge",
+                    "--out", str(out)])
+        writer.join()
+        assert code == 2
+        assert "truncated payload" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_flag_is_usage_error(self, dump, capsys):

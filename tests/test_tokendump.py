@@ -109,6 +109,16 @@ class TestDumpFormat:
             read_token_dump(Unseekable(data))
         assert read_token_dump(Unseekable(io_bytes(minimal_tokens()))).K.tolist() == [[[1.5]]]
 
+    def test_unseekable_stream_with_huge_declared_size(self):
+        # n = h = 2^32 - 1, w = 1 and the largest d, d_k, n_heads declare ~2^98 bytes
+        big = 2**32 - 1
+        head = struct.pack("<4sIIIIIII", b"PRMG", 1, big, big, big, big, big, 1)
+        with pytest.raises(TokenDumpError, match="truncated payload"):
+            read_token_dump(Unseekable(head + bytes(12)))
+        head = struct.pack("<4sIIII", b"PRMR", 1, big, big, 4)
+        with pytest.raises(TokenDumpError, match="truncated payload"):
+            read_reduced_dump(Unseekable(head + bytes(12)))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(TokenDumpError, match="cannot read"):
             read_token_dump(tmp_path / "nope.prmg")
