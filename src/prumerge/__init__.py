@@ -26,9 +26,6 @@ from .pipeline import (
     ReducedTokenSet,
     corpus_stats,
     reduce_tokens,
-    run_baseline,
-    run_prumerge,
-    run_prumerge_plus,
 )
 from .selection import (
     Fences,

@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--grid", type=_parse_grid, help="RxC sampling grid for spatial mode")
     p.add_argument("--raw-weights", action="store_true")
-    p.add_argument("--fences", choices=["upper", "both"], default="upper")
     p.add_argument("--out", required=True)
     p.add_argument("--stats", help="write per-image stats JSON here")
     p.add_argument("--mask", help="write a selection mask (.txt or .pgm)")
@@ -155,7 +154,6 @@ def _cmd_reduce(args) -> int:
             grid_rows=rows,
             grid_cols=cols,
             normalize_weights=not args.raw_weights,
-            fence_sides=args.fences,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc

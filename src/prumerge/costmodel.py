@@ -13,7 +13,7 @@ Accounting conventions (pinned for reproducibility):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 __all__ = [
     "ModelProfile",
@@ -123,27 +123,38 @@ def hardware_preset(name: str) -> HardwareProfile:
     return HardwareProfile(name=name.lower(), **fields)
 
 
+def _load_profile(cls, path, **overrides):
+    """Build ``cls`` from a flat JSON object; ``name`` defaults to the path."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a profile must be a JSON object")
+    data = {"name": str(path), **data, **overrides}
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(data.keys() - known.keys())
+    missing = sorted(k for k, f in known.items() if f.default is MISSING and k not in data)
+    if unknown or missing:
+        raise ValueError(f"{path}: unknown keys {unknown}, missing keys {missing}")
+    numeric = [k for k, f in known.items() if f.type in ("int", "float")]
+    if any(type(data.get(k, 0)) not in (int, float) for k in numeric):
+        raise ValueError(f"{path}: {', '.join(numeric)} must be numbers")
+    return cls(**data)
+
+
 def load_model_profile(path, bytes_per_param: float | None = None) -> ModelProfile:
     """Load a model profile from a flat JSON object.
 
     Required keys: n_layers, d_model, d_ff, n_vocab, n_params, n_heads,
     ffn_kind. Optional: name, bytes_per_param.
     """
-    with open(path) as fh:
-        data = json.load(fh)
-    data.setdefault("name", str(path))
-    if bytes_per_param is not None:
-        data["bytes_per_param"] = bytes_per_param
-    return ModelProfile(**data)
+    overrides = {} if bytes_per_param is None else {"bytes_per_param": bytes_per_param}
+    return _load_profile(ModelProfile, path, **overrides)
 
 
 def load_hardware_profile(path) -> HardwareProfile:
     """Load a hardware profile from a flat JSON object with keys
     peak_flops and mem_bandwidth (optional: name)."""
-    with open(path) as fh:
-        data = json.load(fh)
-    data.setdefault("name", str(path))
-    return HardwareProfile(**data)
+    return _load_profile(HardwareProfile, path)
 
 
 def _ffn_factor(model: ModelProfile) -> int:

@@ -1,9 +1,13 @@
-"""End-to-end token reduction: select, optionally supplement, then merge.
+"""End-to-end token reduction: compute class attention once, select,
+then merge.
 
-Two adaptive modes (``prumerge`` and ``prumerge_plus``) and two sampling
-baselines (``sequential`` and ``spatial``) share the same merging stage.
-Baselines default to k = 1 (pure index gathering); merging can be turned
-on for ablation by setting an explicit k.
+``reduce_tokens`` is the single entry point. Each mode is one selection
+stage in ``_MODES``: the two adaptive modes keep the IQR outliers
+(``prumerge_plus`` then adds a spatially uniform supplement), the two
+sampling baselines pick fixed positions. All four share the merging
+stage. ``k="auto"`` is ceil(n / m) for the adaptive modes and 1 for the
+baselines, so a baseline is pure index gathering unless an explicit k
+turns merging on for ablation.
 """
 
 from __future__ import annotations
@@ -26,30 +30,56 @@ from .selection import (
 __all__ = [
     "PipelineConfig",
     "ReducedTokenSet",
-    "run_prumerge",
-    "run_prumerge_plus",
-    "run_baseline",
     "reduce_tokens",
     "corpus_stats",
 ]
 
-MODES = ("prumerge", "prumerge_plus", "sequential", "spatial")
+
+# The stages name the selection functions in their bodies, so a function
+# rebound on this module (a tracer, a test's counter) is the one that runs.
+def _select_prumerge(tokens, attention, config):
+    return select_outliers(attention, floor=config.floor)
+
+
+def _select_prumerge_plus(tokens, attention, config):
+    base = select_outliers(attention, floor=config.floor)
+    ratio = base.m / tokens.n if config.supplement_ratio == "auto" else float(
+        config.supplement_ratio
+    )
+    return uniform_spatial_supplement(base, tokens.grid, ratio)
+
+
+def _select_sequential(tokens, attention, config):
+    return sequential_baseline(tokens.n, config.budget)
+
+
+def _select_spatial(tokens, attention, config):
+    return spatial_grid_baseline(tokens.grid, config.grid_rows, config.grid_cols)
+
+
+# mode -> (selection stage, adaptive); k="auto" is ceil(n / m) for an
+# adaptive mode and 1 for a baseline
+_MODES = {
+    "prumerge": (_select_prumerge, True),
+    "prumerge_plus": (_select_prumerge_plus, True),
+    "sequential": (_select_sequential, False),
+    "spatial": (_select_spatial, False),
+}
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     mode: str = "prumerge"
-    k: int | str = "auto"  # auto = ceil(n / m), recomputed after selection
+    k: int | str = "auto"  # auto = ceil(n / m) or 1, resolved after selection
     floor: int = 1
     supplement_ratio: float | str = "auto"  # auto = m / n from the IQR stage
     budget: int | None = None  # sequential baseline
     grid_rows: int | None = None  # spatial baseline
     grid_cols: int | None = None
     normalize_weights: bool = True
-    fence_sides: str = "upper"
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.k != "auto" and (not isinstance(self.k, int) or self.k < 1):
             raise ValueError("k must be 'auto' or a positive integer")
@@ -57,19 +87,17 @@ class PipelineConfig:
             raise ValueError("floor must be >= 1")
         if self.supplement_ratio != "auto" and not 0 < float(self.supplement_ratio) <= 1:
             raise ValueError("supplement_ratio must be 'auto' or in (0, 1]")
-        if self.mode == "sequential" and self.budget is None:
-            raise ValueError("sequential mode requires a budget")
+        if self.mode == "sequential" and (self.budget is None or self.budget < 1):
+            raise ValueError("sequential mode requires a budget >= 1")
         if self.mode == "spatial" and (self.grid_rows is None or self.grid_cols is None):
             raise ValueError("spatial mode requires grid_rows and grid_cols")
-        adaptive = self.mode in ("prumerge", "prumerge_plus")
         grid = (self.grid_rows, self.grid_cols)
         # a field the mode never reads is a contradictory request, not a no-op
         unused = {
             "budget": self.mode != "sequential" and self.budget is not None,
             "grid_rows/grid_cols": self.mode != "spatial" and grid != (None, None),
             "supplement_ratio": self.mode != "prumerge_plus" and self.supplement_ratio != "auto",
-            "floor": not adaptive and self.floor != 1,
-            "fence_sides": not adaptive and self.fence_sides != "upper",
+            "floor": not _MODES[self.mode][1] and self.floor != 1,
         }
         ignored = [name for name, hit in unused.items() if hit]
         if ignored:
@@ -105,18 +133,18 @@ class ReducedTokenSet:
         }
 
 
-def _resolve_k(config: PipelineConfig, n: int, m: int, default_auto: int | None = None) -> int:
-    if config.k == "auto":
-        k = math.ceil(n / m) if default_auto is None else default_auto
-    else:
+def reduce_tokens(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:
+    """Reduce one image's tokens: class attention, the mode's selection
+    stage, then k-nearest-key merging around every kept token."""
+    select, adaptive = _MODES[config.mode]
+    attention = class_attention(tokens)
+    selection = select(tokens, attention, config)
+    if config.k != "auto":
         k = config.k
-    return min(max(k, 1), n)
-
-
-def _finish(tokens: TokenSet, attention, selection: SelectionResult,
-            config: PipelineConfig, k: int):
+    else:
+        k = math.ceil(tokens.n / selection.m) if adaptive else 1
     merge = token_supplement(
-        selection, tokens, attention, k, normalize=config.normalize_weights
+        selection, tokens, attention, min(k, tokens.n), normalize=config.normalize_weights
     )
     return ReducedTokenSet(
         tokens=merge.tokens,
@@ -125,54 +153,6 @@ def _finish(tokens: TokenSet, attention, selection: SelectionResult,
         merge=merge,
         n=tokens.n,
     )
-
-
-def run_prumerge(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:
-    """Adaptive selection by IQR outliers, then k-NN merging."""
-    if config.mode != "prumerge":
-        raise ValueError(f"config mode is {config.mode!r}, expected 'prumerge'")
-    attention = class_attention(tokens)
-    selection = select_outliers(attention, floor=config.floor, sides=config.fence_sides)
-    k = _resolve_k(config, tokens.n, selection.m)
-    return _finish(tokens, attention, selection, config, k)
-
-
-def run_prumerge_plus(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:
-    """As run_prumerge, with a spatially uniform supplement between the
-    selection and merging stages. The auto supplement ratio is the IQR
-    stage's kept fraction m / n."""
-    if config.mode != "prumerge_plus":
-        raise ValueError(f"config mode is {config.mode!r}, expected 'prumerge_plus'")
-    attention = class_attention(tokens)
-    base = select_outliers(attention, floor=config.floor, sides=config.fence_sides)
-    ratio = base.m / tokens.n if config.supplement_ratio == "auto" else float(
-        config.supplement_ratio
-    )
-    selection = uniform_spatial_supplement(base, tokens.grid, ratio)
-    k = _resolve_k(config, tokens.n, selection.m)
-    return _finish(tokens, attention, selection, config, k)
-
-
-def run_baseline(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:
-    """Sequential or spatial sampling baseline; k defaults to 1 here so
-    the baseline is pure sampling."""
-    if config.mode == "sequential":
-        selection = sequential_baseline(tokens.n, config.budget)
-    elif config.mode == "spatial":
-        selection = spatial_grid_baseline(tokens.grid, config.grid_rows, config.grid_cols)
-    else:
-        raise ValueError(f"config mode is {config.mode!r}, expected a baseline mode")
-    k = _resolve_k(config, tokens.n, selection.m, default_auto=1)
-    return _finish(tokens, class_attention(tokens), selection, config, k)
-
-
-def reduce_tokens(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:
-    """Dispatch on config.mode."""
-    if config.mode == "prumerge":
-        return run_prumerge(tokens, config)
-    if config.mode == "prumerge_plus":
-        return run_prumerge_plus(tokens, config)
-    return run_baseline(tokens, config)
 
 
 def corpus_stats(results) -> dict:
@@ -185,6 +165,10 @@ def corpus_stats(results) -> dict:
     stats = [r.stats() if isinstance(r, ReducedTokenSet) else r for r in results]
     if not stats:
         raise ValueError("empty corpus")
+    for i, s in enumerate(stats):
+        n, m = (s.get(key) if isinstance(s, dict) else None for key in ("n", "m"))
+        if type(n) is not int or type(m) is not int or not 1 <= m <= n:
+            raise ValueError(f"stats record {i} needs integers n and m with 1 <= m <= n")
     ms = np.array([s["m"] for s in stats], dtype=np.float64)
     kept = np.array([s["m"] / s["n"] for s in stats], dtype=np.float64)
     ratios = np.array([s["n"] / s["m"] for s in stats], dtype=np.float64)

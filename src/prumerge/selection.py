@@ -1,14 +1,14 @@
 """Adaptive token selection via IQR outlier detection, plus baselines.
 
-The adaptive path flags tokens whose class-attention value lies strictly
-above the Tukey upper fence (Q3 + 1.5 IQR). Softmaxed attention clusters
-near zero, so low-side "outliers" carry no signal and are ignored by
-default; a ``sides="both"`` flag is kept for experimentation. When no
-value exceeds the fence, a configurable floor of top-attention tokens is
+The adaptive path keeps the tokens whose class-attention value lies
+strictly above the Tukey upper fence (Q3 + 1.5 IQR). Softmaxed attention
+clusters near zero, so only high-side outliers carry signal; the lower
+fence is reported as a diagnostic and never selects. When no value
+exceeds the fence, a configurable floor of top-attention tokens is
 selected instead.
 
-Also provides the spatially uniform supplement used by the "plus"
-pipeline variant and the sequential / spatial sampling baselines.
+Also provides the spatially uniform supplement that the "plus" variant
+adds to the outliers, and the sequential / spatial sampling baselines.
 """
 
 from __future__ import annotations
@@ -116,25 +116,20 @@ def iqr_fences(values) -> Fences:
     return Fences(q1=q1, q3=q3, iqr=iqr, lower=q1 - 1.5 * iqr, upper=q3 + 1.5 * iqr)
 
 
-def select_outliers(attention, floor: int = 1, sides: str = "upper") -> SelectionResult:
-    """Select tokens whose attention is an IQR outlier.
+def select_outliers(attention, floor: int = 1) -> SelectionResult:
+    """Select tokens whose attention is a high-side IQR outlier.
 
-    Keeps indices with attention strictly above the upper fence (and
-    below the lower fence when ``sides="both"``). If fewer than ``floor``
-    tokens qualify, falls back to the ``floor`` largest-attention indices
-    (ties to the lower index) and marks the result ``floor_fallback``.
+    Keeps indices with attention strictly above the upper fence. If
+    fewer than ``floor`` tokens qualify, falls back to the ``floor``
+    largest-attention indices (ties to the lower index) and marks the
+    result ``floor_fallback``.
     """
     a = attention_values(attention)
     n = a.size
     if not 1 <= floor <= n:
         raise ValueError(f"floor must be in [1, {n}]")
-    if sides not in ("upper", "both"):
-        raise ValueError(f"unknown fence sides {sides!r}")
     fences = iqr_fences(a)
-    mask = a > fences.upper
-    if sides == "both":
-        mask |= a < fences.lower
-    chosen = np.flatnonzero(mask)
+    chosen = np.flatnonzero(a > fences.upper)
     if chosen.size >= floor:
         return SelectionResult(tuple(chosen), fences, "iqr")
     top = np.argsort(-a, kind="stable")[:floor]
@@ -156,7 +151,7 @@ def _round_half_up(x: float) -> int:
 
 
 def uniform_spatial_supplement(
-    base: SelectionResult | None, grid: tuple[int, int], ratio: float
+    base: SelectionResult, grid: tuple[int, int], ratio: float
 ) -> SelectionResult:
     """Union the base selection with a centered grid of sample points.
 
@@ -172,12 +167,8 @@ def uniform_spatial_supplement(
     m_s = max(_round_half_up(ratio * n), 1)
     rows = min(max(_round_half_up(math.sqrt(m_s * h / w)), 1), h)
     cols = min(max(math.ceil(m_s / rows), 1), w)
-    supplement = _centered_grid_indices(h, w, rows, cols)
-    combined = set(supplement)
-    if base is not None:
-        combined.update(base.indices)
-    fences = base.fences if base is not None else None
-    return SelectionResult(tuple(sorted(combined)), fences, "iqr_plus_uniform")
+    combined = set(_centered_grid_indices(h, w, rows, cols)).union(base.indices)
+    return SelectionResult(tuple(sorted(combined)), base.fences, "iqr_plus_uniform")
 
 
 def sequential_baseline(n: int, budget: int) -> SelectionResult:

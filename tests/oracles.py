@@ -38,11 +38,11 @@ def fences_oracle(values):
     return q1, q3, iqr, q1 - 1.5 * iqr, q3 + 1.5 * iqr
 
 
-def outlier_indices(values, floor=1, sides="upper"):
-    """Selection oracle: fence exceedance with top-attention fallback."""
+def outlier_indices(values, floor=1):
+    """Selection oracle: upper-fence exceedance with top-attention fallback."""
     v = np.asarray(values, dtype=np.float64)
-    _, _, _, lower, upper = fences_oracle(v)
-    chosen = [i for i, x in enumerate(v) if x > upper or (sides == "both" and x < lower)]
+    upper = fences_oracle(v)[4]
+    chosen = [i for i, x in enumerate(v) if x > upper]
     if len(chosen) >= floor:
         return sorted(chosen)
     ranked = sorted(range(v.size), key=lambda i: (-v[i], i))

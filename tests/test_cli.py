@@ -107,9 +107,9 @@ class TestReduce:
         ["--mode", "prumerge", "--floor", "0"],
         # flags the mode never reads contradict it; they are not ignored
         ["--mode", "prumerge", "--budget", "3", "--grid", "2x2"],
-        ["--mode", "spatial", "--grid", "6x6", "--floor", "5", "--ratio", "0.5",
-         "--fences", "both"],
+        ["--mode", "spatial", "--grid", "6x6", "--floor", "5", "--ratio", "0.5"],
         ["--mode", "sequential", "--budget", "8", "--ratio", "0.5"],
+        ["--mode", "sequential", "--budget", "0"],
     ])
     def test_config_errors_are_usage_errors(self, dump, tmp_path, capsys, flags):
         out = tmp_path / "r.prmr"
@@ -181,6 +181,33 @@ class TestStats:
 
     def test_empty_glob_is_data_error(self, tmp_path, capsys):
         assert run(["stats", "--inputs", str(tmp_path / "none*.json")]) == 2
+
+
+_7B = dict(costmodel._MODEL_PRESETS["7b"])
+
+
+@pytest.mark.parametrize("command, content", [
+    ("model", {**_7B, "n_experts": 8}),
+    ("model", [_7B]),
+    ("model", {**_7B, "n_layers": "32"}),
+    ("hw", {"peak_flops": 112e12}),
+    ("stats", {"n": 576, "m": 0}),
+    ("stats", [576, 32]),
+    ("stats", {"n": "576", "m": 32}),
+])
+def test_malformed_data_file_is_data_error(tmp_path, capsys, command, content):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(content))
+    report = tmp_path / "c.json"
+    if command == "stats":
+        argv = ["stats", "--inputs", str(path)]
+    else:
+        profiles = {"model": "7b", "hw": "v100", command: str(path)}
+        argv = ["cost", "--model", profiles["model"], "--hw", profiles["hw"],
+                "--tokens-full", "616", "--tokens-reduced", "80", "--report", str(report)]
+    assert run(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not report.exists()
 
 
 class TestDeterminism:

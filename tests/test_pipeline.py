@@ -13,9 +13,6 @@ from prumerge import (
     class_attention,
     corpus_stats,
     reduce_tokens,
-    run_baseline,
-    run_prumerge,
-    run_prumerge_plus,
     select_outliers,
     synth_generate,
     token_supplement,
@@ -32,14 +29,14 @@ def synth(n_spikes, seed=7, **kw):
 
 class TestRunPrumerge:
     def test_thirty_two_spikes_keeps_32(self):
-        result = run_prumerge(synth(32), PipelineConfig(mode="prumerge"))
+        result = reduce_tokens(synth(32), PipelineConfig(mode="prumerge"))
         assert result.m == 32
         assert result.kept_fraction == pytest.approx(32 / 576)
         assert list(result.source_indices) == spike_positions(576, 32)
 
     def test_uniform_image_degenerate_path(self):
         tokens = synth(0, seed=3)
-        result = run_prumerge(tokens, PipelineConfig(mode="prumerge", k=1))
+        result = reduce_tokens(tokens, PipelineConfig(mode="prumerge", k=1))
         assert result.selection.method == "floor_fallback"
         assert result.m == 1
         top = int(np.argmax(class_attention(tokens).a))
@@ -49,7 +46,7 @@ class TestRunPrumerge:
     def test_matches_composed_stage_oracle(self):
         tokens = synth(8, seed=21, cluster_count=4)
         config = PipelineConfig(mode="prumerge", k=5)
-        result = run_prumerge(tokens, config)
+        result = reduce_tokens(tokens, config)
         att = class_attention(tokens)
         sel = select_outliers(att, floor=1)
         merged = token_supplement(sel, tokens, att, k=5)
@@ -57,7 +54,7 @@ class TestRunPrumerge:
         assert result.source_indices == sel.indices
 
     def test_auto_k_is_ceil_n_over_m(self):
-        result = run_prumerge(synth(32), PipelineConfig(mode="prumerge"))
+        result = reduce_tokens(synth(32), PipelineConfig(mode="prumerge"))
         assert result.merge.members.shape == (32, 18)
 
     @given(st.integers(0, 10**6), st.sampled_from([1, 4, 16]), st.integers(1, 3),
@@ -91,26 +88,26 @@ class TestRunPrumerge:
 
 class TestRunPrumergePlus:
     def test_auto_ratio_cardinality_bound(self):
-        result = run_prumerge_plus(synth(36), PipelineConfig(mode="prumerge_plus"))
+        result = reduce_tokens(synth(36), PipelineConfig(mode="prumerge_plus"))
         assert 36 <= result.m <= 72
         assert result.selection.method == "iqr_plus_uniform"
 
     def test_full_ratio_identity_reduction(self):
         tokens = synth(4, seed=5)
         config = PipelineConfig(mode="prumerge_plus", supplement_ratio=1.0, k=1)
-        result = run_prumerge_plus(tokens, config)
+        result = reduce_tokens(tokens, config)
         assert result.m == 576
         np.testing.assert_array_equal(result.tokens, tokens.Y)
 
     def test_uniform_image_small_supplement(self):
         tokens = synth(0, seed=11)
-        result = run_prumerge_plus(tokens, PipelineConfig(mode="prumerge_plus", k=1))
+        result = reduce_tokens(tokens, PipelineConfig(mode="prumerge_plus", k=1))
         # base floor pick, plus round(576/576) = 1 grid-centered token
         assert result.m <= 2
 
     def test_supplement_matches_selection_stage(self):
         tokens = synth(16, seed=2)
-        result = run_prumerge_plus(tokens, PipelineConfig(mode="prumerge_plus", k=1))
+        result = reduce_tokens(tokens, PipelineConfig(mode="prumerge_plus", k=1))
         att = class_attention(tokens)
         base = select_outliers(att)
         expected = uniform_spatial_supplement(base, (24, 24), base.m / 576)
@@ -121,14 +118,14 @@ class TestBaselines:
     def test_sequential_is_index_gathering(self):
         tokens = synth(10, seed=8)
         config = PipelineConfig(mode="sequential", budget=40)
-        result = run_baseline(tokens, config)
+        result = reduce_tokens(tokens, config)
         assert result.source_indices == tuple(range(40))
         np.testing.assert_array_equal(result.tokens, tokens.Y[:40])
 
     def test_spatial_grid(self):
         tokens = synth(10, seed=8)
         config = PipelineConfig(mode="spatial", grid_rows=6, grid_cols=6)
-        result = run_baseline(tokens, config)
+        result = reduce_tokens(tokens, config)
         assert result.m == 36
         np.testing.assert_array_equal(result.tokens,
                                       tokens.Y[list(result.source_indices)])
@@ -136,7 +133,7 @@ class TestBaselines:
     def test_baseline_merging_opt_in(self):
         tokens = synth(10, seed=8)
         config = PipelineConfig(mode="spatial", grid_rows=4, grid_cols=4, k=4)
-        result = run_baseline(tokens, config)
+        result = reduce_tokens(tokens, config)
         assert result.merge.members.shape == (16, 4)
 
     def test_mode_validation(self):
@@ -154,8 +151,8 @@ class TestBaselines:
         ("prumerge_plus", {"budget": 3}, "budget"),
         ("sequential", {"budget": 4, "grid_rows": 2, "grid_cols": 2}, "grid_rows/grid_cols"),
         ("spatial", {"grid_rows": 2, "grid_cols": 2, "floor": 5,
-                     "supplement_ratio": 0.5, "fence_sides": "both"},
-         "supplement_ratio, floor, fence_sides"),
+                     "supplement_ratio": 0.5},
+         "supplement_ratio, floor"),
     ])
     def test_fields_the_mode_ignores_are_rejected(self, mode, fields, unused):
         with pytest.raises(ValueError, match=f"does not use {unused}$"):
@@ -193,6 +190,25 @@ class TestDeterminismAndDispatch:
         monkeypatch.setattr(prumerge.pipeline, "class_attention", counting)
         reduce_tokens(synth(12), PipelineConfig(mode=mode, **kw))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode, kw, stages", [
+        ("prumerge", {}, ["select_outliers"]),
+        ("prumerge_plus", {}, ["select_outliers", "uniform_spatial_supplement"]),
+        ("sequential", {"budget": 16}, ["sequential_baseline"]),
+        ("spatial", {"grid_rows": 4, "grid_cols": 4}, ["spatial_grid_baseline"]),
+    ])
+    def test_stages_looked_up_when_they_run(self, monkeypatch, mode, kw, stages):
+        # a tracer times a stage by rebinding its name on prumerge.pipeline
+        calls = {name: 0 for name in stages}
+        for name in stages:
+            def counting(*args, _name=name, _fn=getattr(prumerge.pipeline, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(prumerge.pipeline, name, counting)
+        config = PipelineConfig(mode=mode, **kw)
+        for expected in (1, 2):
+            reduce_tokens(synth(12), config)
+            assert calls == {name: expected for name in stages}
 
     def test_no_quadratic_allocation(self):
         # n = 2304: an n x n float64 similarity matrix alone is 42 MB

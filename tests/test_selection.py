@@ -82,14 +82,6 @@ class TestSelectOutliers:
         assert list(sel.indices) == planted
         assert list(sel.indices) == outlier_indices(a / a.sum())
 
-    def test_both_sides_flag(self):
-        a = np.ones(64)
-        a[10] = 40.0
-        a = a / a.sum()
-        assert select_outliers(AttentionVector(a), sides="both").indices == (10,)
-        assert list(select_outliers(AttentionVector(a), sides="both").indices) == \
-            outlier_indices(a, sides="both")
-
     def test_floor_ties_to_lower_index(self):
         sel = select_outliers(AttentionVector(np.full(8, 0.125)), floor=3)
         assert sel.indices == (0, 1, 2)
@@ -128,7 +120,7 @@ class TestSelectOutliers:
 
 class TestUniformSupplement:
     def test_full_ratio_covers_grid(self):
-        sel = uniform_spatial_supplement(None, (4, 4), 1.0)
+        sel = uniform_spatial_supplement(select_outliers_from([0], 16), (4, 4), 1.0)
         assert sel.indices == tuple(range(16))
         assert sel.method == "iqr_plus_uniform"
 
@@ -150,7 +142,7 @@ class TestUniformSupplement:
 
     def test_ratio_must_be_positive(self):
         with pytest.raises(ValueError, match="ratio"):
-            uniform_spatial_supplement(None, (4, 4), 0.0)
+            uniform_spatial_supplement(select_outliers_from([0], 16), (4, 4), 0.0)
 
     @given(st.integers(0, 2000))
     @settings(max_examples=50, deadline=None)
