@@ -12,14 +12,14 @@ for spikes in (4, 16, 48):
     spec = SynthSpec(grid=(12, 12), d=8, d_k=4, n_spikes=spikes, seed=spikes)
     tokens = synth_generate(spec)
     attention = class_attention(tokens)
-    fences = iqr_fences(attention.a)
+    fences = iqr_fences(attention)
     selection = select_outliers(attention)
 
     print(f"planted spikes: {spikes}")
     print(f"  kept m = {selection.m} of {tokens.n} "
           f"({selection.m / tokens.n:.1%}), method = {selection.method}")
     print(f"  upper fence = {fences.upper:.2e}, "
-          f"max attention = {attention.a.max():.2e}")
+          f"max attention = {attention.max():.2e}")
     print("\n".join("  " + line
                     for line in render_mask(selection, spec.grid).split("\n")))
     print()

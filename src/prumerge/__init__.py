@@ -2,7 +2,6 @@
 merging, and a roofline prefill-cost model."""
 
 from .core import (
-    AttentionVector,
     TokenSet,
     class_attention,
     key_similarity,

@@ -7,6 +7,7 @@ deterministic for identical arguments and input files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import io
 import json
@@ -39,6 +40,15 @@ DATA_ERROR = 2
 
 class _UsageError(Exception):
     """Flags that parse but cannot be combined into a valid request."""
+
+
+@contextlib.contextmanager
+def _flag_values():
+    """Report a ValueError raised while checking flag values as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,7 +154,7 @@ def _write_outputs(outputs) -> None:
 
 def _cmd_reduce(args) -> int:
     rows, cols = args.grid or (None, None)
-    try:
+    with _flag_values():
         config = PipelineConfig(
             mode="prumerge_plus" if args.mode == "prumerge+" else args.mode,
             k=args.k,
@@ -155,8 +165,13 @@ def _cmd_reduce(args) -> int:
             grid_cols=cols,
             normalize_weights=not args.raw_weights,
         )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    named = {}
+    for flag in ("--input", "--out", "--stats", "--mask"):
+        path = getattr(args, flag[2:])
+        if path:
+            first = named.setdefault(os.path.realpath(path), flag)
+            if first != flag:
+                raise _UsageError(f"{first} and {flag} name the same file")
     tokens = read_token_dump(args.input)
     result = reduce_tokens(tokens, config)
     outputs = [(args.out, _dump_bytes(write_reduced_dump, result.tokens,
@@ -172,16 +187,17 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        grid=args.grid,
-        d=args.d,
-        d_k=args.dk,
-        n_heads=args.heads,
-        n_spikes=args.spikes,
-        spike_gain=args.gain,
-        cluster_count=args.clusters,
-        seed=args.seed,
-    )
+    with _flag_values():
+        spec = SynthSpec(
+            grid=args.grid,
+            d=args.d,
+            d_k=args.dk,
+            n_heads=args.heads,
+            n_spikes=args.spikes,
+            spike_gain=args.gain,
+            cluster_count=args.clusters,
+            seed=args.seed,
+        )
     _write_outputs([(args.out, _dump_bytes(write_token_dump, synth_generate(spec)))])
     return 0
 
@@ -196,9 +212,10 @@ def _cmd_cost(args) -> int:
         hw = hardware_preset(args.hw)
     else:
         hw = load_hardware_profile(args.hw)
-    full, reduced, savings = cost_comparison(
-        model, hw, args.tokens_full, args.tokens_reduced
-    )
+    with _flag_values():
+        full, reduced, savings = cost_comparison(
+            model, hw, args.tokens_full, args.tokens_reduced
+        )
     report = {"model": model.name, "hardware": hw.name,
               "full": full.to_dict(), "reduced": reduced.to_dict(), "savings": savings}
     _write_outputs([(args.report, _json_bytes(report))])

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "TokenSet",
-    "AttentionVector",
     "scaled_softmax",
     "class_attention",
     "key_similarity",
@@ -90,28 +89,6 @@ class TokenSet:
         return self.q_cls.shape[0]
 
 
-@dataclass(frozen=True)
-class AttentionVector:
-    """Softmaxed class-to-spatial attention: nonnegative, sums to 1."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=np.float64))
-        if self.a.ndim != 1 or self.a.size < 1:
-            raise ValueError("attention must be a nonempty vector")
-        _check_finite("attention", self.a)
-        if np.any(self.a < 0):
-            raise ValueError("attention entries must be nonnegative")
-        total = float(self.a.sum())
-        if abs(total - 1.0) > 1e-5:
-            raise ValueError(f"attention sums to {total}, expected 1")
-
-    @property
-    def n(self) -> int:
-        return self.a.size
-
-
 def scaled_softmax(logits, scale_dim: int) -> np.ndarray:
     """Numerically stable softmax of logits / sqrt(scale_dim).
 
@@ -131,18 +108,22 @@ def scaled_softmax(logits, scale_dim: int) -> np.ndarray:
     return e / e.sum()
 
 
-def class_attention(tokens: TokenSet) -> AttentionVector:
-    """Attention from the class token to every spatial token.
+def class_attention(tokens: TokenSet) -> np.ndarray:
+    """Attention from the class token to every spatial token: an (n,)
+    float64 array, nonnegative and summing to 1.
 
     Each head is softmaxed independently (over the spatial tokens only);
     with multiple heads the per-head distributions are averaged, which
-    keeps the result a proper distribution.
+    keeps the result a proper distribution. The logits are einsum dot
+    products, which round every row the same way, so identical keys get
+    exactly equal attention.
     """
     per_head = np.empty((tokens.n_heads, tokens.n), dtype=np.float64)
     for h in range(tokens.n_heads):
-        logits = tokens.K[h].astype(np.float64) @ tokens.q_cls[h].astype(np.float64)
+        logits = np.einsum("nd,d->n", tokens.K[h].astype(np.float64),
+                           tokens.q_cls[h].astype(np.float64))
         per_head[h] = scaled_softmax(logits, tokens.d_k)
-    return AttentionVector(per_head.mean(axis=0))
+    return per_head.mean(axis=0)
 
 
 def key_similarity(tokens: TokenSet, centers) -> np.ndarray:

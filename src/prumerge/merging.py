@@ -57,11 +57,15 @@ def token_supplement(
     if a.size != tokens.n:
         raise ValueError(f"attention has {a.size} entries, expected n={tokens.n}")
     centers = np.asarray(selection.indices)
-    members = _top_k(key_similarity(tokens, centers), k)
-    # degenerate keys can rank k other tokens above the center's
-    # self-similarity; keep the center at the cost of the weakest
-    missing = ~(members == centers[:, None]).any(axis=1)
-    members[missing, -1] = centers[missing]
+    if k == 1:
+        # the center swap below would make every top-1 the center itself
+        members = centers[:, None]
+    else:
+        members = _top_k(key_similarity(tokens, centers), k)
+        # degenerate keys can rank k other tokens above the center's
+        # self-similarity; keep the center at the cost of the weakest
+        missing = ~(members == centers[:, None]).any(axis=1)
+        members[missing, -1] = centers[missing]
     weights = a[members]
     if normalize:
         totals = weights.sum(axis=1, keepdims=True)

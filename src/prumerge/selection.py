@@ -18,18 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AttentionVector
-
 
 def attention_values(attention) -> np.ndarray:
-    """Accept an AttentionVector or any nonnegative finite 1-d array.
+    """Class attention as a float64 array: any nonempty, finite,
+    nonnegative 1-d array.
 
-    Raw arrays support scale-invariance checks (selection depends only
-    on attention ratios, not on the softmax normalization).
+    Unnormalized arrays support scale-invariance checks (selection
+    depends only on attention ratios, not on the softmax normalization).
     """
-    a = attention.a if isinstance(attention, AttentionVector) else np.asarray(
-        attention, dtype=np.float64
-    )
+    a = np.asarray(attention, dtype=np.float64)
     if a.ndim != 1 or a.size < 1:
         raise ValueError("attention must be a nonempty vector")
     if not np.all(np.isfinite(a)) or np.any(a < 0):

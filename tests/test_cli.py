@@ -117,6 +117,21 @@ class TestReduce:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("outputs", [
+        {"--out": "r.prmr", "--stats": "r.prmr"},
+        {"--out": "t.prmg"},
+        {"--out": "r.prmr", "--mask": "t.prmg"},
+        {"--out": "r.prmr", "--stats": "s.json", "--mask": "sub/../s.json"},
+    ])
+    def test_two_outputs_on_one_path_are_usage_errors(self, dump, tmp_path, capsys, outputs):
+        (tmp_path / "sub").mkdir()
+        before = dump.read_bytes()
+        flags = [arg for flag, name in outputs.items() for arg in (flag, str(tmp_path / name))]
+        assert run(["reduce", "--input", str(dump), "--mode", "prumerge"] + flags) == 1
+        assert "error:" in capsys.readouterr().err
+        assert dump.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "t.prmg"]
+
     @pytest.mark.parametrize("failing", ["--stats", "--mask"])
     def test_failed_output_leaves_no_partial_outputs(self, dump, tmp_path, failing):
         out = tmp_path / "r.prmr"
@@ -208,6 +223,22 @@ def test_malformed_data_file_is_data_error(tmp_path, capsys, command, content):
     assert run(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--grid", "4x4", "--d", "0", "--dk", "2", "--spikes", "1"],
+    ["synth", "--grid", "4x4", "--d", "2", "--dk", "2", "--spikes", "1", "--clusters", "0"],
+    ["synth", "--grid", "2x2", "--d", "2", "--dk", "2", "--spikes", "9"],
+    ["cost", "--model", "7b", "--tokens-full", "0", "--tokens-reduced", "0"],
+    ["cost", "--model", "7b", "--tokens-full", "616", "--tokens-reduced", "-3"],
+    ["cost", "--model", "7b", "--tokens-full", "80", "--tokens-reduced", "616"],
+])
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    target = ["--seed", "0", "--out", str(out)] if argv[0] == "synth" else ["--report", str(out)]
+    assert run(argv + target) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestDeterminism:

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prumerge import (
-    AttentionVector,
+    PipelineConfig,
     TokenSet,
     class_attention,
     key_similarity,
+    reduce_tokens,
     scaled_softmax,
 )
 from oracles import dot_table, softmax_direct
@@ -78,7 +79,21 @@ class TestClassAttention:
     def test_identical_keys_uniform(self):
         tokens = make_tokens(np.tile([1.0, 2.0, -0.5], (6, 1)))
         att = class_attention(tokens)
-        np.testing.assert_allclose(att.a, np.full(6, 1 / 6), atol=1e-12)
+        np.testing.assert_allclose(att, np.full(6, 1 / 6), atol=1e-12)
+
+    @pytest.mark.parametrize("n_heads", [1, 16])
+    @pytest.mark.parametrize("d_k", [64, 92, 110])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_identical_keys_get_equal_attention(self, seed, d_k, n_heads):
+        # a BLAS product can round the same dot product differently by row
+        rng = np.random.default_rng(seed)
+        K = np.repeat(rng.normal(size=(n_heads, 1, d_k)).astype(np.float32), 486, axis=1)
+        q = rng.normal(size=(n_heads, d_k)).astype(np.float32)
+        tokens = TokenSet(grid=(9, 54), q_cls=q, K=K, Y=np.zeros((486, 2)))
+        att = class_attention(tokens)
+        assert np.all(att == att[0])
+        selection = reduce_tokens(tokens, PipelineConfig(mode="prumerge")).selection
+        assert (selection.method, selection.indices) == ("floor_fallback", (0,))
 
     def test_multi_head_mean(self):
         # head 0 puts all mass on token 0, head 1 on token 1
@@ -88,15 +103,15 @@ class TestClassAttention:
         q = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
         tokens = TokenSet(grid=(1, 2), q_cls=q, K=K, Y=np.zeros((2, 3)))
         att = class_attention(tokens)
-        np.testing.assert_allclose(att.a, [0.5, 0.5], atol=1e-6)
+        np.testing.assert_allclose(att, [0.5, 0.5], atol=1e-6)
 
     def test_concentration_matches_direct_oracle(self):
         keys = np.array([[10, 0], [0, 10], [0, 0], [0, 0]], dtype=np.float32)
         tokens = make_tokens(keys, q=[1.0, 0.0], grid=(2, 2))
         att = class_attention(tokens)
         expected = softmax_direct([10, 0, 0, 0], 2)
-        np.testing.assert_allclose(att.a, expected, atol=1e-7)
-        assert att.a.argmax() == 0
+        np.testing.assert_allclose(att, expected, atol=1e-7)
+        assert att.argmax() == 0
 
     def test_single_head_equals_scaled_softmax(self):
         rng = np.random.default_rng(11)
@@ -104,7 +119,7 @@ class TestClassAttention:
         q = rng.normal(size=4).astype(np.float32)
         tokens = make_tokens(keys, q=q, grid=(2, 4))
         logits = keys.astype(np.float64) @ q.astype(np.float64)
-        np.testing.assert_array_equal(class_attention(tokens).a,
+        np.testing.assert_array_equal(class_attention(tokens),
                                       scaled_softmax(logits, 4))
 
     def test_dimension_mismatch(self):
@@ -162,9 +177,3 @@ class TestTokenSetValidation:
         keys[0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             make_tokens(keys)
-
-    def test_attention_vector_must_normalize(self):
-        with pytest.raises(ValueError, match="sums to"):
-            AttentionVector([0.5, 0.2])
-        with pytest.raises(ValueError, match="nonnegative"):
-            AttentionVector([1.5, -0.5])

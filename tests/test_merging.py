@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prumerge.merging
 from prumerge import (
-    AttentionVector,
     SynthSpec,
     TokenSet,
     class_attention,
@@ -32,7 +32,7 @@ def tokens_from(keys, Y, grid=None):
 
 
 def uniform_attention(n):
-    return AttentionVector(np.full(n, 1.0 / n))
+    return np.full(n, 1.0 / n)
 
 
 def members_of(keys, center, k):
@@ -81,7 +81,7 @@ class TestMergeCluster:
 
     def test_weighted_sum_hand_computed(self):
         Y = np.eye(3, dtype=np.float32)
-        att = AttentionVector([0.2, 0.3, 0.5])
+        att = np.asarray([0.2, 0.3, 0.5])
         result = token_supplement(selection_of([0]), tokens_from(np.eye(3), Y),
                                   att, k=3)
         assert result.members.tolist() == [[0, 1, 2]]
@@ -117,6 +117,32 @@ class TestTokenSupplement:
         sel = selection_of([1, 4, 7])
         result = token_supplement(sel, tokens, class_attention(tokens), k=1)
         assert result.tokens.tobytes() == Y[[1, 4, 7]].tobytes()
+
+    def test_k1_never_ranks(self, monkeypatch):
+        calls = []
+        original = prumerge.merging.key_similarity
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(prumerge.merging, "key_similarity", counting)
+        tokens = tokens_from(np.random.default_rng(6).normal(size=(9, 4)),
+                             np.zeros((9, 2), np.float32), grid=(3, 3))
+        result = token_supplement(selection_of([2, 5]), tokens, uniform_attention(9), k=1)
+        assert not calls and result.members.tolist() == [[2], [5]]
+        token_supplement(selection_of([2, 5]), tokens, uniform_attention(9), k=2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_attention_must_be_finite_and_nonnegative(self, bad):
+        attention = np.full(4, 0.25)
+        attention[1] = bad
+        tokens = tokens_from(np.eye(4), np.zeros((4, 1), np.float32), grid=(2, 2))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            select_outliers(attention)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            token_supplement(selection_of([0]), tokens, attention, k=2)
 
     def test_attention_length_must_match(self):
         tokens = tokens_from(np.eye(3), np.zeros((3, 1), np.float32))

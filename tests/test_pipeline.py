@@ -39,7 +39,7 @@ class TestRunPrumerge:
         result = reduce_tokens(tokens, PipelineConfig(mode="prumerge", k=1))
         assert result.selection.method == "floor_fallback"
         assert result.m == 1
-        top = int(np.argmax(class_attention(tokens).a))
+        top = int(np.argmax(class_attention(tokens)))
         assert result.source_indices == (top,)
         np.testing.assert_array_equal(result.tokens[0], tokens.Y[top])
 
@@ -75,7 +75,7 @@ class TestRunPrumerge:
         floor = min(floor, n)
         result = reduce_tokens(tokens, PipelineConfig(mode="prumerge", k=n + excess,
                                                       floor=floor))
-        attention = class_attention(tokens).a
+        attention = class_attention(tokens)
         assert np.all(attention == attention[0])
         assert result.selection.method == "floor_fallback"
         assert list(result.source_indices) == outlier_indices(attention, floor)

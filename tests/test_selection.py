@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prumerge import (
-    AttentionVector,
     iqr_fences,
     quartiles,
     select_outliers,
@@ -17,7 +16,7 @@ from oracles import centered_grid, fences_oracle, outlier_indices, supplement_or
 
 def normalized(values):
     v = np.asarray(values, dtype=np.float64)
-    return AttentionVector(v / v.sum())
+    return v / v.sum()
 
 
 class TestQuartiles:
@@ -66,7 +65,7 @@ class TestFences:
 
 class TestSelectOutliers:
     def test_uniform_floor_fallback(self):
-        sel = select_outliers(AttentionVector(np.full(10, 0.1)), floor=1)
+        sel = select_outliers(np.full(10, 0.1), floor=1)
         assert sel.method == "floor_fallback"
         assert sel.indices == (0,)
 
@@ -83,12 +82,12 @@ class TestSelectOutliers:
         assert list(sel.indices) == outlier_indices(a / a.sum())
 
     def test_floor_ties_to_lower_index(self):
-        sel = select_outliers(AttentionVector(np.full(8, 0.125)), floor=3)
+        sel = select_outliers(np.full(8, 0.125), floor=3)
         assert sel.indices == (0, 1, 2)
 
     def test_floor_out_of_range(self):
         with pytest.raises(ValueError, match="floor"):
-            select_outliers(AttentionVector(np.full(4, 0.25)), floor=5)
+            select_outliers(np.full(4, 0.25), floor=5)
 
     @given(st.integers(0, 5000), st.sampled_from([0.1, 3.0, 10.0]))
     @settings(max_examples=60, deadline=None)

@@ -194,7 +194,7 @@ class TestSynthGenerate:
     def test_no_spikes_near_uniform(self):
         tokens = synth_generate(SynthSpec(grid=(8, 8), d=4, d_k=4, seed=5))
         att = class_attention(tokens)
-        assert att.a.max() / att.a.min() < np.exp(0.2) + 1e-9
+        assert att.max() / att.min() < np.exp(0.2) + 1e-9
         assert select_outliers(att).method == "floor_fallback"
 
     def test_planted_spikes_recovered(self):
