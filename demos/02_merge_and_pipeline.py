@@ -34,9 +34,8 @@ for mode, extra in (
 print()
 result = reduce_tokens(tokens, PipelineConfig(mode="prumerge"))
 print("clusters behind the refined tokens (prumerge, auto k):")
-merge = result.merge
 for center, members, weights, refined in zip(
-    result.source_indices, merge.members, merge.weights, result.tokens
+    result.source_indices, result.members, result.weights, result.tokens
 ):
     print(f"  center {center:2d}: members {members.tolist()}, "
           f"weights {np.round(weights, 3).tolist()}")

@@ -19,10 +19,9 @@ from .costmodel import (
     prefill_flops,
     roofline_time,
 )
-from .merging import MergeResult, token_supplement
+from .merging import ReducedTokenSet, token_supplement
 from .pipeline import (
     PipelineConfig,
-    ReducedTokenSet,
     corpus_stats,
     reduce_tokens,
 )

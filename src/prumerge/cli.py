@@ -12,6 +12,7 @@ import glob
 import io
 import json
 import os
+import stat
 import sys
 
 from .costmodel import (
@@ -136,20 +137,26 @@ def _dump_bytes(write, *args) -> bytes:
 def _write_outputs(outputs) -> None:
     """Write (path, bytes) pairs all or nothing: each goes to a temporary
     file beside its destination, and none is renamed into place until
-    every one of them has been written."""
+    every one of them has been written. An existing path that is not a
+    regular file (a directory, FIFO, device or symlink) is refused before
+    anything is staged, since the rename would replace it."""
+    for path, _ in outputs:
+        with contextlib.suppress(FileNotFoundError):
+            if not stat.S_ISREG(os.lstat(path).st_mode):
+                raise OSError(f"{path} exists and is not a regular file")
     staged = []
     try:
         for i, (path, data) in enumerate(outputs):
             staged.append(f"{path}.{os.getpid()}-{i}.tmp")
             with open(staged[-1], "wb") as fh:
                 fh.write(data)
+        for tmp, (path, _) in zip(staged, outputs):
+            os.replace(tmp, path)
     except OSError as exc:
         for tmp in staged:
-            if os.path.exists(tmp):
+            with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
         raise OSError(exc.errno, exc.strerror, path) from exc
-    for tmp, (path, _) in zip(staged, outputs):
-        os.replace(tmp, path)
 
 
 def _cmd_reduce(args) -> int:

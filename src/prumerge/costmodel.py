@@ -13,7 +13,7 @@ Accounting conventions (pinned for reproducibility):
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 __all__ = [
     "ModelProfile",
@@ -78,15 +78,7 @@ class CostReport:
     weight_bytes: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_tokens": self.n_tokens,
-            "flops_total": self.flops_total,
-            "prefill_time_s": self.prefill_time_s,
-            "total_memory_bytes": self.total_memory_bytes,
-            "activation_bytes": self.activation_bytes,
-            "kv_bytes": self.kv_bytes,
-            "weight_bytes": self.weight_bytes,
-        }
+        return asdict(self)
 
 
 _MODEL_PRESETS = {

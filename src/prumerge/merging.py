@@ -17,21 +17,46 @@ import numpy as np
 from .core import TokenSet, key_similarity
 from .selection import SelectionResult, attention_values
 
-__all__ = ["MergeResult", "token_supplement"]
+__all__ = ["ReducedTokenSet", "token_supplement"]
 
 
 @dataclass(frozen=True)
-class MergeResult:
-    """Refined token embeddings with per-center cluster diagnostics.
+class ReducedTokenSet:
+    """The reduced token stack plus everything needed to inspect how it
+    was produced: the selection with its diagnostics, and the clusters.
 
-    Row r of ``members`` lists the cluster of the r-th selected token,
-    ranked by descending key similarity; row r of ``weights`` holds the
-    attention weights the merge applied to those members.
+    Row r of ``tokens`` is the r-th selected token merged with its
+    cluster. Row r of ``members`` lists that cluster, ranked by
+    descending key similarity; row r of ``weights`` holds the attention
+    weights the merge applied to those members.
     """
 
     tokens: np.ndarray  # (m, d) float32
+    selection: SelectionResult
     members: np.ndarray  # (m, k) int
     weights: np.ndarray  # (m, k) float64
+    n: int
+
+    @property
+    def source_indices(self) -> tuple[int, ...]:
+        return self.selection.indices
+
+    @property
+    def m(self) -> int:
+        return len(self.source_indices)
+
+    @property
+    def kept_fraction(self) -> float:
+        return self.m / self.n
+
+    def stats(self) -> dict:
+        return {
+            "n": self.n,
+            "m": self.m,
+            "kept_fraction": self.kept_fraction,
+            "compression_ratio": self.n / self.m,
+            "method": self.selection.method,
+        }
 
 
 def token_supplement(
@@ -40,7 +65,7 @@ def token_supplement(
     attention,
     k: int,
     normalize: bool = True,
-) -> MergeResult:
+) -> ReducedTokenSet:
     """Merge each selected token with its k most key-similar tokens.
 
     Members rank by descending similarity, ties broken by lower index.
@@ -77,7 +102,7 @@ def token_supplement(
     else:
         refined = np.einsum("mk,mkd->md", weights, tokens.Y[members],
                             dtype=np.float64).astype(tokens.Y.dtype)
-    return MergeResult(refined, members, weights)
+    return ReducedTokenSet(refined, selection, members, weights, tokens.n)
 
 
 def _top_k(similarity, k):

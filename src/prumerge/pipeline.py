@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TokenSet, class_attention
-from .merging import MergeResult, token_supplement
+from .merging import ReducedTokenSet, token_supplement
 from .selection import (
-    SelectionResult,
     select_outliers,
     sequential_baseline,
     spatial_grid_baseline,
@@ -104,35 +103,6 @@ class PipelineConfig:
             raise ValueError(f"mode {self.mode!r} does not use {', '.join(ignored)}")
 
 
-@dataclass(frozen=True)
-class ReducedTokenSet:
-    """The reduced token stack plus everything needed to inspect how it
-    was produced (selection diagnostics, clusters, per-image stats)."""
-
-    tokens: np.ndarray  # (m, d)
-    source_indices: tuple[int, ...]
-    selection: SelectionResult
-    merge: MergeResult
-    n: int
-
-    @property
-    def m(self) -> int:
-        return len(self.source_indices)
-
-    @property
-    def kept_fraction(self) -> float:
-        return self.m / self.n
-
-    def stats(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "kept_fraction": self.kept_fraction,
-            "compression_ratio": self.n / self.m,
-            "method": self.selection.method,
-        }
-
-
 def reduce_tokens(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:
     """Reduce one image's tokens: class attention, the mode's selection
     stage, then k-nearest-key merging around every kept token."""
@@ -143,15 +113,8 @@ def reduce_tokens(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:
         k = config.k
     else:
         k = math.ceil(tokens.n / selection.m) if adaptive else 1
-    merge = token_supplement(
+    return token_supplement(
         selection, tokens, attention, min(k, tokens.n), normalize=config.normalize_weights
-    )
-    return ReducedTokenSet(
-        tokens=merge.tokens,
-        source_indices=selection.indices,
-        selection=selection,
-        merge=merge,
-        n=tokens.n,
     )
 
 

@@ -195,9 +195,18 @@ def _reduced_payload_size(fields) -> int:
 
 
 def read_reduced_dump(source) -> tuple[np.ndarray, np.ndarray, int]:
-    """Read a reduced dump; returns (tokens, source_indices, n)."""
+    """Read and validate a reduced dump; returns (tokens, source_indices, n)."""
     (_, _, m, d, n), payload = _read_dump(source, _REDUCED_HEADER, _reduced_payload_size)
+    # checked after the size, so a corrupt header reads as a size error
+    if m < 1 or d < 1:
+        raise TokenDumpError(f"bad dimension m={m}, d={d}")
+    if m > n:
+        raise TokenDumpError(f"m={m} exceeds n={n}")
     idx = np.frombuffer(payload, dtype="<u4", count=m)
+    if (idx[1:] <= idx[:-1]).any():
+        raise TokenDumpError("source indices are not strictly ascending")
+    if idx[-1] >= n:
+        raise TokenDumpError(f"source index {idx[-1]} out of range for n={n}")
     tokens = np.frombuffer(payload, dtype="<f4", count=m * d, offset=4 * m).reshape(m, d)
     return tokens, idx, n
 
@@ -232,6 +241,13 @@ class SynthSpec:
             raise ValueError("n_spikes must be in [0, n]")
         if self.cluster_count < 1:
             raise ValueError("cluster_count must be >= 1")
+        # the spike logits gain +- noise are stored as float32 keys
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = np.float32([self.spike_gain - BACKGROUND_NOISE,
+                                self.spike_gain + BACKGROUND_NOISE])
+        if not np.isfinite(edges).all():
+            raise ValueError(f"spike_gain {self.spike_gain} +- {BACKGROUND_NOISE} "
+                             "is not finite in float32")
 
 
 BACKGROUND_NOISE = 0.1  # half-width of the uniform background logit noise

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import struct
 import threading
 
@@ -11,6 +12,30 @@ from prumerge.cli import cli_main
 
 def run(args):
     return cli_main(args)
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+
+
+def make_obstacle(path, kind):
+    """An existing output path that is not a regular file."""
+    if kind == "dir":
+        path.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(path)
+    else:
+        path.symlink_to(path.with_name("elsewhere"))
+    return path
+
+
+def assert_obstacle_intact(path, kind):
+    mode = os.lstat(path).st_mode
+    if kind == "dir":
+        assert stat.S_ISDIR(mode) and not any(path.iterdir())
+    elif kind == "fifo":
+        assert stat.S_ISFIFO(mode)
+    else:
+        assert stat.S_ISLNK(mode) and not path.with_name("elsewhere").exists()
 
 
 @pytest.fixture
@@ -132,18 +157,49 @@ class TestReduce:
         assert dump.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "t.prmg"]
 
-    @pytest.mark.parametrize("failing", ["--stats", "--mask"])
-    def test_failed_output_leaves_no_partial_outputs(self, dump, tmp_path, failing):
+    @pytest.mark.parametrize("failing, kind", [
+        pytest.param("--stats", "missing", id="--stats"),
+        pytest.param("--mask", "missing", id="--mask"),
+        pytest.param("--stats", "dir", id="--stats-dir"),
+        pytest.param("--mask", "fifo", id="--mask-fifo", marks=needs_fifo),
+        pytest.param("--out", "dir", id="--out-dir"),
+        pytest.param("--out", "fifo", id="--out-fifo", marks=needs_fifo),
+    ])
+    def test_failed_output_leaves_no_partial_outputs(self, dump, tmp_path, failing, kind):
         out = tmp_path / "r.prmr"
         out.write_bytes(b"previous")
-        paths = {"--stats": tmp_path / "s.json", "--mask": tmp_path / "m.txt"}
-        paths[failing] = tmp_path / "missing" / "x"
+        paths = {"--out": out, "--stats": tmp_path / "s.json", "--mask": tmp_path / "m.txt"}
+        if kind == "missing":
+            paths[failing] = tmp_path / "missing" / "x"
+        else:
+            paths[failing] = make_obstacle(tmp_path / "obstacle", kind)
         code = run(["reduce", "--input", str(dump), "--mode", "prumerge",
-                    "--out", str(out), "--stats", str(paths["--stats"]),
+                    "--out", str(paths["--out"]), "--stats", str(paths["--stats"]),
                     "--mask", str(paths["--mask"])])
         assert code == 2
         assert out.read_bytes() == b"previous"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.prmr", "t.prmg"]
+        left = ["r.prmr", "t.prmg"] if kind == "missing" else ["obstacle", "r.prmr", "t.prmg"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == left
+        if kind != "missing":
+            assert_obstacle_intact(paths[failing], kind)
+
+    def test_failed_rename_removes_staged_files(self, dump, tmp_path, monkeypatch):
+        replace = os.replace
+        calls = []
+
+        def failing_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise PermissionError(13, "Permission denied")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_second)
+        code = run(["reduce", "--input", str(dump), "--mode", "prumerge",
+                    "--out", str(tmp_path / "r.prmr"), "--stats", str(tmp_path / "s.json"),
+                    "--mask", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert len(calls) == 2
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestCost:
@@ -183,6 +239,19 @@ class TestCost:
         assert run(["cost", "--model", "70b", "--tokens-full", "10",
                     "--tokens-reduced", "5",
                     "--report", str(tmp_path / "c.json")]) == 2
+
+
+@pytest.mark.parametrize("kind", ["dir", pytest.param("fifo", marks=needs_fifo), "symlink"])
+@pytest.mark.parametrize("argv", [
+    ["synth", "--grid", "4x4", "--d", "2", "--dk", "2", "--spikes", "1", "--seed", "0", "--out"],
+    ["cost", "--model", "7b", "--tokens-full", "616", "--tokens-reduced", "80", "--report"],
+], ids=["synth", "cost"])
+def test_output_that_is_not_a_regular_file_is_data_error(tmp_path, capsys, argv, kind):
+    target = make_obstacle(tmp_path / "out", kind)
+    assert run(argv + [str(target)]) == 2
+    assert "not a regular file" in capsys.readouterr().err
+    assert_obstacle_intact(target, kind)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestStats:
@@ -232,6 +301,9 @@ def test_malformed_data_file_is_data_error(tmp_path, capsys, command, content):
     ["cost", "--model", "7b", "--tokens-full", "0", "--tokens-reduced", "0"],
     ["cost", "--model", "7b", "--tokens-full", "616", "--tokens-reduced", "-3"],
     ["cost", "--model", "7b", "--tokens-full", "80", "--tokens-reduced", "616"],
+    ["synth", "--grid", "4x4", "--d", "2", "--dk", "2", "--spikes", "1", "--gain", "nan"],
+    ["synth", "--grid", "4x4", "--d", "2", "--dk", "2", "--spikes", "1", "--gain", "inf"],
+    ["synth", "--grid", "4x4", "--d", "2", "--dk", "2", "--spikes", "1", "--gain", "1e39"],
 ])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out"

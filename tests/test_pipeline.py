@@ -55,7 +55,7 @@ class TestRunPrumerge:
 
     def test_auto_k_is_ceil_n_over_m(self):
         result = reduce_tokens(synth(32), PipelineConfig(mode="prumerge"))
-        assert result.merge.members.shape == (32, 18)
+        assert result.members.shape == (32, 18)
 
     @given(st.integers(0, 10**6), st.sampled_from([1, 4, 16]), st.integers(1, 3),
            st.sampled_from([0, 1, 100]))
@@ -82,7 +82,7 @@ class TestRunPrumerge:
         assert list(result.source_indices) == list(range(floor))
         expected, member_lists = merge_oracle(result.source_indices, flat, attention,
                                               tokens.Y, n)
-        assert [tuple(row) for row in result.merge.members.tolist()] == member_lists
+        assert [tuple(row) for row in result.members.tolist()] == member_lists
         assert np.abs(result.tokens - expected).max() < 1e-6
 
 
@@ -134,7 +134,7 @@ class TestBaselines:
         tokens = synth(10, seed=8)
         config = PipelineConfig(mode="spatial", grid_rows=4, grid_cols=4, k=4)
         result = reduce_tokens(tokens, config)
-        assert result.merge.members.shape == (16, 4)
+        assert result.members.shape == (16, 4)
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="budget"):
@@ -209,6 +209,24 @@ class TestDeterminismAndDispatch:
         for expected in (1, 2):
             reduce_tokens(synth(12), config)
             assert calls == {name: expected for name in stages}
+
+    @pytest.mark.parametrize("kw", [
+        {"mode": "prumerge"},
+        {"mode": "prumerge_plus"},
+        {"mode": "sequential", "budget": 32},
+        {"mode": "spatial", "grid_rows": 4, "grid_cols": 8},
+    ])
+    def test_token_supplement_returns_the_reduction(self, kw):
+        tokens = synth(24, seed=5, cluster_count=3)
+        result = reduce_tokens(tokens, PipelineConfig(**kw))
+        k = result.members.shape[1]
+        direct = token_supplement(result.selection, tokens, class_attention(tokens), k)
+        assert isinstance(direct, prumerge.pipeline.ReducedTokenSet)
+        assert direct.tokens.tobytes() == result.tokens.tobytes()
+        np.testing.assert_array_equal(direct.members, result.members)
+        assert direct.weights.tobytes() == result.weights.tobytes()
+        assert direct.source_indices == result.source_indices
+        assert direct.stats() == result.stats()
 
     def test_no_quadratic_allocation(self):
         # n = 2304: an n x n float64 similarity matrix alone is 42 MB

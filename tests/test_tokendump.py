@@ -189,6 +189,21 @@ class TestReducedDump:
             read_reduced_dump(stream)
         assert stream.bytes_read == 20
 
+    @pytest.mark.parametrize("shape, indices, n, message", [
+        ((3, 2), [0, 1, 2], 2, "m=3 exceeds n=2"),
+        ((2, 2), [1, 4], 4, "source index 4 out of range"),
+        ((2, 2), [2, 1], 4, "not strictly ascending"),
+        ((2, 2), [1, 1], 4, "not strictly ascending"),
+        ((0, 2), [], 4, "bad dimension m=0"),
+        ((2, 0), [0, 1], 4, "bad dimension"),
+    ], ids=["m>n", "index>=n", "descending", "repeated", "m=0", "d=0"])
+    def test_inconsistent_dump_rejected(self, shape, indices, n, message):
+        buf = io.BytesIO()
+        write_reduced_dump(np.zeros(shape, np.float32), indices, n, buf)
+        buf.seek(0)
+        with pytest.raises(TokenDumpError, match=message):
+            read_reduced_dump(buf)
+
 
 class TestSynthGenerate:
     def test_no_spikes_near_uniform(self):
@@ -217,6 +232,11 @@ class TestSynthGenerate:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             SynthSpec(grid=(4, 4), d=2, d_k=2, n_spikes=17)
+
+    def test_largest_float32_gain_accepted(self):
+        gain = float(np.finfo(np.float32).max)
+        tokens = synth_generate(SynthSpec(grid=(2, 2), d=2, d_k=2, n_spikes=1, spike_gain=gain))
+        assert np.isfinite(tokens.K).all()
 
 
 class TestRenderMask:
