@@ -12,6 +12,7 @@ import glob
 import io
 import json
 import os
+import shutil
 import stat
 import sys
 
@@ -137,26 +138,48 @@ def _dump_bytes(write, *args) -> bytes:
 def _write_outputs(outputs) -> None:
     """Write (path, bytes) pairs all or nothing: each goes to a temporary
     file beside its destination, and none is renamed into place until
-    every one of them has been written. An existing path that is not a
-    regular file (a directory, FIFO, device or symlink) is refused before
-    anything is staged, since the rename would replace it."""
+    every one of them has been written. Before its rename, an existing
+    destination is hard-linked (or, where links fail, copied) to a backup
+    beside it; if a rename fails, every destination already replaced is
+    restored from its backup, or removed if it had none. An existing path
+    that is not a regular file (a directory, FIFO, device or symlink) is
+    refused before anything is staged, since the rename would replace it."""
     for path, _ in outputs:
         with contextlib.suppress(FileNotFoundError):
             if not stat.S_ISREG(os.lstat(path).st_mode):
                 raise OSError(f"{path} exists and is not a regular file")
-    staged = []
+    staged, backups, replaced = [], [], []
     try:
         for i, (path, data) in enumerate(outputs):
             staged.append(f"{path}.{os.getpid()}-{i}.tmp")
             with open(staged[-1], "wb") as fh:
                 fh.write(data)
-        for tmp, (path, _) in zip(staged, outputs):
+        for i, (tmp, (path, _)) in enumerate(zip(staged, outputs)):
+            backup = f"{path}.{os.getpid()}-{i}.bak" if os.path.exists(path) else None
+            if backup:
+                backups.append(backup)
+                try:
+                    os.link(path, backup)
+                except OSError:
+                    shutil.copy2(path, backup)
             os.replace(tmp, path)
+            replaced.append((path, backup))
     except OSError as exc:
-        for tmp in staged:
+        for done, backup in reversed(replaced):
+            with contextlib.suppress(OSError):
+                if backup:
+                    os.replace(backup, done)
+                else:
+                    os.remove(done)
+        # the backups of replaced outputs were moved back; one that could
+        # not be holds the only previous copy and stays
+        used = {backup for _, backup in replaced}
+        for leftover in staged + [b for b in backups if b not in used]:
             with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
+                os.remove(leftover)
         raise OSError(exc.errno, exc.strerror, path) from exc
+    for backup in backups:
+        os.remove(backup)
 
 
 def _cmd_reduce(args) -> int:
@@ -261,8 +284,9 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (TokenDumpError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TokenDumpError, ValueError, KeyError, OSError, json.JSONDecodeError,
+            MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return DATA_ERROR
 
 

@@ -90,22 +90,23 @@ class TokenSet:
 
 
 def scaled_softmax(logits, scale_dim: int) -> np.ndarray:
-    """Numerically stable softmax of logits / sqrt(scale_dim).
+    """Numerically stable softmax of logits / sqrt(scale_dim) over the
+    last axis; logits of any rank >= 1 give one distribution per row.
 
-    Subtracts the max before exponentiation; sums accumulate at double
-    precision. The output is nonnegative and sums to 1 within 1e-6.
+    Subtracts each row's max before exponentiation; sums accumulate at
+    double precision. Every row is nonnegative and sums to 1 within 1e-6.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size == 0:
+    if logits.ndim == 0 or logits.size == 0:
         raise ValueError("empty logits")
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite logit")
     if scale_dim < 1:
         raise ValueError("scale_dim must be >= 1")
     z = logits / np.sqrt(float(scale_dim))
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def class_attention(tokens: TokenSet) -> np.ndarray:
@@ -114,16 +115,13 @@ def class_attention(tokens: TokenSet) -> np.ndarray:
 
     Each head is softmaxed independently (over the spatial tokens only);
     with multiple heads the per-head distributions are averaged, which
-    keeps the result a proper distribution. The logits are einsum dot
-    products, which round every row the same way, so identical keys get
-    exactly equal attention.
+    keeps the result a proper distribution. The logits of all heads come
+    from one float64 einsum, which rounds every row the same way, so
+    identical keys get exactly equal attention; C-ordered logits keep the
+    softmax row sums pairwise even when K is a strided view.
     """
-    per_head = np.empty((tokens.n_heads, tokens.n), dtype=np.float64)
-    for h in range(tokens.n_heads):
-        logits = np.einsum("nd,d->n", tokens.K[h].astype(np.float64),
-                           tokens.q_cls[h].astype(np.float64))
-        per_head[h] = scaled_softmax(logits, tokens.d_k)
-    return per_head.mean(axis=0)
+    logits = np.einsum("hnd,hd->hn", tokens.K, tokens.q_cls, dtype=np.float64, order="C")
+    return scaled_softmax(logits, tokens.d_k).mean(axis=0)
 
 
 def key_similarity(tokens: TokenSet, centers) -> np.ndarray:

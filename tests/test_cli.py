@@ -183,14 +183,16 @@ class TestReduce:
         if kind != "missing":
             assert_obstacle_intact(paths[failing], kind)
 
-    def test_failed_rename_removes_staged_files(self, dump, tmp_path, monkeypatch):
+    def reduce_failing_second_rename(self, dump, tmp_path, monkeypatch):
+        """Run reduce with three outputs; the second staged rename fails."""
         replace = os.replace
         calls = []
 
         def failing_second(src, dst):
-            calls.append(dst)
-            if len(calls) == 2:
-                raise PermissionError(13, "Permission denied")
+            if src.endswith(".tmp"):
+                calls.append(dst)
+                if len(calls) == 2:
+                    raise PermissionError(13, "Permission denied")
             replace(src, dst)
 
         monkeypatch.setattr(os, "replace", failing_second)
@@ -199,7 +201,30 @@ class TestReduce:
                     "--mask", str(tmp_path / "m.txt")])
         assert code == 2
         assert len(calls) == 2
-        assert not list(tmp_path.glob("*.tmp"))
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name != "r.prmr") == ["t.prmg"]
+
+    def test_failed_rename_removes_staged_files(self, dump, tmp_path, monkeypatch):
+        self.reduce_failing_second_rename(dump, tmp_path, monkeypatch)
+        assert not (tmp_path / "r.prmr").exists()
+
+    @pytest.mark.parametrize("links", [True, False], ids=["linked", "copied"])
+    def test_failed_rename_restores_replaced_output(self, dump, tmp_path, monkeypatch, links):
+        if not links:
+            def no_links(src, dst):
+                raise PermissionError(1, "Operation not permitted")
+
+            monkeypatch.setattr(os, "link", no_links)
+        (tmp_path / "r.prmr").write_bytes(b"previous")
+        self.reduce_failing_second_rename(dump, tmp_path, monkeypatch)
+        assert (tmp_path / "r.prmr").read_bytes() == b"previous"
+
+    def test_replaced_outputs_leave_no_backups(self, dump, tmp_path):
+        argv = ["reduce", "--input", str(dump), "--mode", "prumerge",
+                "--out", str(tmp_path / "r.prmr"), "--stats", str(tmp_path / "s.json")]
+        (tmp_path / "r.prmr").write_bytes(b"previous")
+        assert run(argv) == 0
+        assert (tmp_path / "r.prmr").read_bytes() != b"previous"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.prmr", "s.json", "t.prmg"]
 
 
 class TestCost:
@@ -252,6 +277,20 @@ def test_output_that_is_not_a_regular_file_is_data_error(tmp_path, capsys, argv,
     assert "not a regular file" in capsys.readouterr().err
     assert_obstacle_intact(target, kind)
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_allocation_failure_is_data_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr("prumerge.cli.synth_generate", out_of_memory)
+    out = tmp_path / "x.prmg"
+    code = run(["synth", "--grid", "2x2", "--d", "1", "--dk", "1", "--spikes", "0",
+                "--clusters", "4", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 class TestStats:

@@ -54,6 +54,26 @@ class TestScaledSoftmax:
         with pytest.raises(ValueError, match="non-finite logit"):
             scaled_softmax([1.0, np.nan], 4)
 
+    @pytest.mark.parametrize("shape", [(3, 7), (2, 4, 5), (16, 1, 576)])
+    def test_rows_equal_one_dimensional_calls(self, shape):
+        logits = np.random.default_rng(5).normal(scale=20.0, size=shape)
+        out = scaled_softmax(logits, 64)
+        rows = [scaled_softmax(row, 64) for row in logits.reshape(-1, shape[-1])]
+        assert out.shape == shape
+        assert out.tobytes() == np.concatenate(rows).tobytes()
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_finite_logit_in_any_row(self, row):
+        logits = np.zeros((3, 4))
+        logits[row, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite logit"):
+            scaled_softmax(logits, 4)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (2, 4, 0)])
+    def test_zero_length_last_axis(self, shape):
+        with pytest.raises(ValueError, match="empty logits"):
+            scaled_softmax(np.zeros(shape), 4)
+
     @given(logit_arrays, st.integers(1, 128))
     def test_sums_to_one(self, logits, scale_dim):
         out = scaled_softmax(logits, scale_dim)
@@ -121,6 +141,20 @@ class TestClassAttention:
         logits = keys.astype(np.float64) @ q.astype(np.float64)
         np.testing.assert_array_equal(class_attention(tokens),
                                       scaled_softmax(logits, 4))
+
+    @pytest.mark.parametrize("n_heads", [2, 16])
+    def test_strided_keys_match_contiguous_keys(self, n_heads):
+        # keys drawn from a small pool and transposed into (heads, n, d_k):
+        # a strided view must give the bytes of its contiguous copy
+        rng = np.random.default_rng(n_heads)
+        pool = rng.normal(size=(3, n_heads, 64)).astype(np.float32)
+        K = pool[rng.integers(3, size=486)].transpose(1, 0, 2)
+        q = rng.normal(size=(n_heads, 64)).astype(np.float32)
+        strided = TokenSet(grid=(9, 54), q_cls=q, K=K, Y=np.zeros((486, 2)))
+        contiguous = TokenSet(grid=(9, 54), q_cls=q, K=np.ascontiguousarray(K),
+                              Y=np.zeros((486, 2)))
+        assert not strided.K.flags.c_contiguous
+        assert class_attention(strided).tobytes() == class_attention(contiguous).tobytes()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
