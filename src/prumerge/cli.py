@@ -12,8 +12,6 @@ import glob
 import io
 import json
 import os
-import shutil
-import stat
 import sys
 
 from .costmodel import (
@@ -32,6 +30,7 @@ from .tokendump import (
     read_token_dump,
     render_mask,
     synth_generate,
+    write_outputs,
     write_reduced_dump,
     write_token_dump,
 )
@@ -135,53 +134,6 @@ def _dump_bytes(write, *args) -> bytes:
     return buf.getvalue()
 
 
-def _write_outputs(outputs) -> None:
-    """Write (path, bytes) pairs all or nothing: each goes to a temporary
-    file beside its destination, and none is renamed into place until
-    every one of them has been written. Before its rename, an existing
-    destination is hard-linked (or, where links fail, copied) to a backup
-    beside it; if a rename fails, every destination already replaced is
-    restored from its backup, or removed if it had none. An existing path
-    that is not a regular file (a directory, FIFO, device or symlink) is
-    refused before anything is staged, since the rename would replace it."""
-    for path, _ in outputs:
-        with contextlib.suppress(FileNotFoundError):
-            if not stat.S_ISREG(os.lstat(path).st_mode):
-                raise OSError(f"{path} exists and is not a regular file")
-    staged, backups, replaced = [], [], []
-    try:
-        for i, (path, data) in enumerate(outputs):
-            staged.append(f"{path}.{os.getpid()}-{i}.tmp")
-            with open(staged[-1], "wb") as fh:
-                fh.write(data)
-        for i, (tmp, (path, _)) in enumerate(zip(staged, outputs)):
-            backup = f"{path}.{os.getpid()}-{i}.bak" if os.path.exists(path) else None
-            if backup:
-                backups.append(backup)
-                try:
-                    os.link(path, backup)
-                except OSError:
-                    shutil.copy2(path, backup)
-            os.replace(tmp, path)
-            replaced.append((path, backup))
-    except OSError as exc:
-        for done, backup in reversed(replaced):
-            with contextlib.suppress(OSError):
-                if backup:
-                    os.replace(backup, done)
-                else:
-                    os.remove(done)
-        # the backups of replaced outputs were moved back; one that could
-        # not be holds the only previous copy and stays
-        used = {backup for _, backup in replaced}
-        for leftover in staged + [b for b in backups if b not in used]:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(leftover)
-        raise OSError(exc.errno, exc.strerror, path) from exc
-    for backup in backups:
-        os.remove(backup)
-
-
 def _cmd_reduce(args) -> int:
     rows, cols = args.grid or (None, None)
     with _flag_values():
@@ -212,7 +164,7 @@ def _cmd_reduce(args) -> int:
         fmt = "pgm" if args.mask.endswith(".pgm") else "text"
         rendering = render_mask(result.selection, tokens.grid, fmt)
         outputs.append((args.mask, rendering if fmt == "pgm" else (rendering + "\n").encode()))
-    _write_outputs(outputs)
+    write_outputs(outputs)
     return 0
 
 
@@ -228,16 +180,17 @@ def _cmd_synth(args) -> int:
             cluster_count=args.clusters,
             seed=args.seed,
         )
-    _write_outputs([(args.out, _dump_bytes(write_token_dump, synth_generate(spec)))])
+    write_outputs([(args.out, _dump_bytes(write_token_dump, synth_generate(spec)))])
     return 0
 
 
 def _cmd_cost(args) -> int:
-    bytes_per_param = 0.5 if args.int4 else 2.0
+    # a profile keeps its own bytes_per_param unless --int4 overrides it
+    int4 = {"bytes_per_param": 0.5} if args.int4 else {}
     if args.model.lower() in _MODEL_PRESETS:
-        model = model_preset(args.model, bytes_per_param=bytes_per_param)
+        model = model_preset(args.model, **int4)
     else:
-        model = load_model_profile(args.model, bytes_per_param=bytes_per_param)
+        model = load_model_profile(args.model, **int4)
     if args.hw.lower() in _HW_PRESETS:
         hw = hardware_preset(args.hw)
     else:
@@ -248,7 +201,7 @@ def _cmd_cost(args) -> int:
         )
     report = {"model": model.name, "hardware": hw.name,
               "full": full.to_dict(), "reduced": reduced.to_dict(), "savings": savings}
-    _write_outputs([(args.report, _json_bytes(report))])
+    write_outputs([(args.report, _json_bytes(report))])
     return 0
 
 

@@ -24,7 +24,10 @@ so identical seeds give bit-identical dumps across platforms.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
+import shutil
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -36,6 +39,7 @@ from .selection import SelectionResult
 __all__ = [
     "TokenDumpError",
     "SynthSpec",
+    "write_outputs",
     "write_token_dump",
     "read_token_dump",
     "write_reduced_dump",
@@ -56,16 +60,80 @@ class TokenDumpError(ValueError):
     """Malformed or unreadable token dump."""
 
 
+# errors from os.link that mean the file system cannot link the file
+_NO_LINKS = {errno.EPERM, errno.EMLINK, errno.ENOSYS, errno.EOPNOTSUPP, errno.ENOTSUP}
+
+
+def _back_up(path, backup, made) -> None:
+    """Hard-link path to the new name backup, or copy it there where
+    links are not supported; backup joins made once it exists."""
+    try:
+        os.link(path, backup)
+        made.append(backup)
+    except OSError as exc:
+        if exc.errno not in _NO_LINKS:
+            raise
+        with open(path, "rb") as src, open(backup, "xb") as dst:
+            made.append(backup)
+            shutil.copyfileobj(src, dst)
+        shutil.copystat(path, backup)  # a restored copy keeps its mode and times
+
+
+def write_outputs(outputs) -> None:
+    """Write (path, bytes) pairs all or nothing: each goes to a new
+    temporary file beside its destination, and none is renamed into place
+    until every one of them has been written. Before its rename, an
+    existing destination other than the last is hard-linked (or, where
+    links are not supported, copied) to a new backup beside it; if a
+    rename fails, every destination already replaced is restored from its
+    backup, or removed if it had none. Temporary and backup files are
+    created exclusively, and only files this call created are removed.
+    An existing path that is not a regular file (a directory, FIFO,
+    device or symlink) is refused before anything is staged, since the
+    rename would replace it. A failure raises OSError."""
+    for path, _ in outputs:
+        with contextlib.suppress(FileNotFoundError):
+            if not stat.S_ISREG(os.lstat(path).st_mode):
+                raise OSError(f"{path} exists and is not a regular file")
+    staged, backups, replaced = [], [], []
+    try:
+        for i, (path, data) in enumerate(outputs):
+            with open(f"{path}.{os.getpid()}-{i}.tmp", "xb") as fh:
+                staged.append(fh.name)
+                fh.write(data)
+        for i, (tmp, (path, _)) in enumerate(zip(staged, outputs)):
+            # a backup is read only if a later rename fails
+            backup = None
+            if i < len(outputs) - 1 and os.path.exists(path):
+                backup = f"{path}.{os.getpid()}-{i}.bak"
+                _back_up(path, backup, backups)
+            os.replace(tmp, path)
+            replaced.append((path, backup))
+    except OSError as exc:
+        for done, backup in reversed(replaced):
+            with contextlib.suppress(OSError):
+                if backup:
+                    os.replace(backup, done)
+                else:
+                    os.remove(done)
+        # the backups of replaced outputs were moved back; one that could
+        # not be holds the only previous copy and stays
+        used = {backup for _, backup in replaced}
+        for leftover in staged[len(replaced):] + [b for b in backups if b not in used]:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(leftover)
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    for backup in backups:
+        os.remove(backup)
+
+
 def _write_bytes(data: bytes, destination) -> int:
-    """Write data to a path or binary file object; returns bytes written."""
+    """Write data to a path, through write_outputs, or to a binary file
+    object; returns bytes written."""
     if hasattr(destination, "write"):
         destination.write(data)
     else:
-        try:
-            with open(destination, "wb") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise TokenDumpError(f"cannot write {destination}: {exc}") from exc
+        write_outputs([(destination, data)])
     return len(data)
 
 

@@ -38,6 +38,14 @@ def assert_obstacle_intact(path, kind):
         assert stat.S_ISLNK(mode) and not path.with_name("elsewhere").exists()
 
 
+def forbid_links(monkeypatch):
+    """Make os.link fail as on a file system without hard links."""
+    def no_links(src, dst):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "link", no_links)
+
+
 @pytest.fixture
 def dump(tmp_path):
     path = tmp_path / "t.prmg"
@@ -117,6 +125,15 @@ class TestReduce:
         assert code == 2
         assert "truncated payload" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_input_is_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "t.prmg"
+        empty.write_bytes(b"")
+        code = run(["reduce", "--input", str(empty), "--mode", "prumerge",
+                    "--out", str(tmp_path / "r.prmr"), "--stats", str(tmp_path / "s.json")])
+        assert code == 2
+        assert "truncated header" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["t.prmg"]
 
     def test_unknown_flag_is_usage_error(self, dump, capsys):
         assert run(["reduce", "--input", str(dump), "--frobnicate"]) == 1
@@ -210,13 +227,31 @@ class TestReduce:
     @pytest.mark.parametrize("links", [True, False], ids=["linked", "copied"])
     def test_failed_rename_restores_replaced_output(self, dump, tmp_path, monkeypatch, links):
         if not links:
-            def no_links(src, dst):
-                raise PermissionError(1, "Operation not permitted")
-
-            monkeypatch.setattr(os, "link", no_links)
+            forbid_links(monkeypatch)
         (tmp_path / "r.prmr").write_bytes(b"previous")
+        os.chmod(tmp_path / "r.prmr", 0o640)
         self.reduce_failing_second_rename(dump, tmp_path, monkeypatch)
         assert (tmp_path / "r.prmr").read_bytes() == b"previous"
+        assert stat.S_IMODE(os.stat(tmp_path / "r.prmr").st_mode) == 0o640
+
+    def test_cleanup_keeps_a_file_made_under_a_renamed_staging_name(
+            self, dump, tmp_path, monkeypatch):
+        replace = os.replace
+        renamed = []
+
+        def replace_then_fail(src, dst):
+            if renamed:
+                raise PermissionError(13, "Permission denied")
+            replace(src, dst)
+            renamed.append(src)
+            with open(src, "wb") as fh:  # another writer takes the free name
+                fh.write(b"theirs")
+
+        monkeypatch.setattr(os, "replace", replace_then_fail)
+        assert run(["reduce", "--input", str(dump), "--mode", "prumerge",
+                    "--out", str(tmp_path / "r.prmr"), "--stats", str(tmp_path / "s.json")]) == 2
+        with open(renamed[0], "rb") as fh:
+            assert fh.read() == b"theirs"
 
     def test_replaced_outputs_leave_no_backups(self, dump, tmp_path):
         argv = ["reduce", "--input", str(dump), "--mode", "prumerge",
@@ -225,6 +260,60 @@ class TestReduce:
         assert run(argv) == 0
         assert (tmp_path / "r.prmr").read_bytes() != b"previous"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.prmr", "s.json", "t.prmg"]
+
+    def test_backups_only_where_a_restore_can_need_them(self, dump, tmp_path, monkeypatch):
+        names = ["c.json", "m.txt", "r.prmr", "s.json"]
+        for name in names:
+            (tmp_path / name).write_bytes(b"previous")
+        linked = []
+        link = os.link
+
+        def counting_link(src, dst):
+            linked.append(os.path.basename(src))
+            link(src, dst)
+
+        monkeypatch.setattr(os, "link", counting_link)
+        assert run(["cost", "--model", "7b", "--tokens-full", "616", "--tokens-reduced", "80",
+                    "--report", str(tmp_path / "c.json")]) == 0
+        assert linked == []
+        assert run(["reduce", "--input", str(dump), "--mode", "prumerge",
+                    "--out", str(tmp_path / "r.prmr"), "--stats", str(tmp_path / "s.json"),
+                    "--mask", str(tmp_path / "m.txt")]) == 0
+        assert linked == ["r.prmr", "s.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names + ["t.prmg"]
+        assert all((tmp_path / name).read_bytes() != b"previous" for name in names)
+
+    @pytest.mark.parametrize("links", [True, False], ids=["linked", "copied"])
+    def test_backup_name_taken_by_a_symlink_is_refused(self, dump, tmp_path, monkeypatch, links):
+        if not links:
+            forbid_links(monkeypatch)
+        victim = tmp_path / "victim.txt"
+        victim.write_bytes(b"victim")
+        out = tmp_path / "r.prmr"
+        out.write_bytes(b"previous")
+        planted = tmp_path / f"r.prmr.{os.getpid()}-0.bak"
+        planted.symlink_to(victim)
+        code = run(["reduce", "--input", str(dump), "--mode", "prumerge",
+                    "--out", str(out), "--stats", str(tmp_path / "s.json")])
+        assert code == 2
+        assert victim.read_bytes() == b"victim"
+        assert out.read_bytes() == b"previous"
+        assert planted.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [planted.name, "r.prmr", "t.prmg", "victim.txt"])
+
+
+def test_staged_name_taken_by_a_symlink_is_refused(tmp_path):
+    victim = tmp_path / "victim.txt"
+    victim.write_bytes(b"victim")
+    report = tmp_path / "c.json"
+    planted = tmp_path / f"c.json.{os.getpid()}-0.tmp"
+    planted.symlink_to(victim)
+    assert run(["cost", "--model", "7b", "--tokens-full", "616", "--tokens-reduced", "80",
+                "--report", str(report)]) == 2
+    assert victim.read_bytes() == b"victim"
+    assert not os.path.lexists(report)
+    assert planted.is_symlink()
 
 
 class TestCost:
@@ -247,6 +336,16 @@ class TestCost:
         fp16 = json.loads(paths["fp16"].read_text())
         int4 = json.loads(paths["int4"].read_text())
         assert int4["full"]["weight_bytes"] == fp16["full"]["weight_bytes"] / 4
+
+    @pytest.mark.parametrize("flags, weight_bytes", [([], 1e6), (["--int4"], 0.5e6)],
+                             ids=["own", "int4"])
+    def test_profile_keeps_its_bytes_per_param(self, tmp_path, flags, weight_bytes):
+        profile = tmp_path / "prof.json"
+        profile.write_text(json.dumps({**_7B, "n_params": 1e6, "bytes_per_param": 1}))
+        report = tmp_path / "c.json"
+        assert run(["cost", "--model", str(profile), "--tokens-full", "616",
+                    "--tokens-reduced", "80", "--report", str(report)] + flags) == 0
+        assert json.loads(report.read_text())["full"]["weight_bytes"] == weight_bytes
 
     def test_presets_come_from_the_cost_model(self, tmp_path, monkeypatch):
         monkeypatch.setitem(costmodel._MODEL_PRESETS, "1b", dict(

@@ -1,7 +1,14 @@
 import io
+import os
+import signal
 import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
+import prumerge
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +148,84 @@ class TestDumpFormat:
         assert back.K.tobytes() == tokens.K.tobytes()
         assert back.Y.tobytes() == tokens.Y.tobytes()
         assert back.q_cls.tobytes() == tokens.q_cls.tobytes()
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+
+
+@pytest.mark.parametrize("kind", ["file", "bytesio", pytest.param("fifo", marks=needs_fifo)])
+@pytest.mark.parametrize("read", [read_token_dump, read_reduced_dump])
+def test_empty_dump_is_truncated_header(tmp_path, kind, read):
+    source = tmp_path / "empty"
+    writer = None
+    if kind == "file":
+        source.write_bytes(b"")
+    elif kind == "bytesio":
+        source = io.BytesIO()
+    else:
+        os.mkfifo(source)
+        writer = threading.Thread(target=source.write_bytes, args=(b"",))
+        writer.start()
+    with pytest.raises(TokenDumpError, match="truncated header"):
+        read(source)
+    if writer:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+# lowers the file-size limit of its own process only, then writes a
+# 2 KiB dump over the path it is given
+_FSIZE_LIMITED_WRITE = """
+import errno, resource, signal, sys
+from prumerge import SynthSpec, synth_generate, write_token_dump
+tokens = synth_generate(SynthSpec(grid=(8, 8), d=4, d_k=4))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    write_token_dump(tokens, sys.argv[1])
+except OSError as exc:
+    print(errno.errorcode[exc.errno])
+"""
+
+
+class TestPathWrites:
+    def test_write_failing_midway_keeps_previous_file(self, tmp_path):
+        pytest.importorskip("resource")
+        if not hasattr(signal, "SIGXFSZ"):
+            pytest.skip("needs SIGXFSZ")
+        path = tmp_path / "t.prmg"
+        path.write_bytes(b"previous")
+        src = str(Path(prumerge.__file__).parents[1])
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", _FSIZE_LIMITED_WRITE, str(path)],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert child.stdout.split() == ["EFBIG"], child.stderr
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.prmg"]
+
+    def test_single_output_makes_no_backup(self, tmp_path, monkeypatch):
+        links = []
+        link = os.link
+        monkeypatch.setattr(os, "link", lambda *args: links.append(args) or link(*args))
+        path = tmp_path / "t.prmg"
+        path.write_bytes(b"previous")
+        assert write_token_dump(minimal_tokens(), path) == 44
+        assert links == []
+        assert path.read_bytes() == io_bytes(minimal_tokens())
+        assert [p.name for p in tmp_path.iterdir()] == ["t.prmg"]
+
+    @pytest.mark.parametrize("kind", ["dir", "symlink"])
+    def test_path_that_is_not_a_regular_file_is_refused(self, tmp_path, kind):
+        path = tmp_path / "r.prmr"
+        if kind == "dir":
+            path.mkdir()
+        else:
+            path.symlink_to(tmp_path / "elsewhere")
+        with pytest.raises(OSError, match="not a regular file"):
+            write_reduced_dump(np.zeros((1, 2), np.float32), [0], 1, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["r.prmr"]
+        assert not (tmp_path / "elsewhere").exists()
 
 
 def io_bytes(tokens):
