@@ -237,8 +237,7 @@ def cli_main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (TokenDumpError, ValueError, KeyError, OSError, json.JSONDecodeError,
-            MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return DATA_ERROR
 

@@ -1,13 +1,12 @@
 """End-to-end token reduction: compute class attention once, select,
 then merge.
 
-``reduce_tokens`` is the single entry point. Each mode is one selection
-stage in ``_MODES``: the two adaptive modes keep the IQR outliers
-(``prumerge_plus`` then adds a spatially uniform supplement), the two
-sampling baselines pick fixed positions. All four share the merging
-stage. ``k="auto"`` is ceil(n / m) for the adaptive modes and 1 for the
-baselines, so a baseline is pure index gathering unless an explicit k
-turns merging on for ablation.
+``reduce_tokens`` is the single entry point. The two adaptive modes keep
+the IQR outliers (``prumerge_plus`` then adds a spatially uniform
+supplement), the two sampling baselines pick fixed positions, and all
+four share the merging stage. ``k="auto"`` is ceil(n / m) for the
+adaptive modes and 1 for the baselines, so a baseline is pure index
+gathering unless an explicit k turns merging on for ablation.
 """
 
 from __future__ import annotations
@@ -34,36 +33,11 @@ __all__ = [
 ]
 
 
-# The stages name the selection functions in their bodies, so a function
-# rebound on this module (a tracer, a test's counter) is the one that runs.
-def _select_prumerge(tokens, attention, config):
-    return select_outliers(attention, floor=config.floor)
+_ADAPTIVE = ("prumerge", "prumerge_plus")  # k="auto" is ceil(n / m), else 1
 
 
-def _select_prumerge_plus(tokens, attention, config):
-    base = select_outliers(attention, floor=config.floor)
-    ratio = base.m / tokens.n if config.supplement_ratio == "auto" else float(
-        config.supplement_ratio
-    )
-    return uniform_spatial_supplement(base, tokens.grid, ratio)
-
-
-def _select_sequential(tokens, attention, config):
-    return sequential_baseline(tokens.n, config.budget)
-
-
-def _select_spatial(tokens, attention, config):
-    return spatial_grid_baseline(tokens.grid, config.grid_rows, config.grid_cols)
-
-
-# mode -> (selection stage, adaptive); k="auto" is ceil(n / m) for an
-# adaptive mode and 1 for a baseline
-_MODES = {
-    "prumerge": (_select_prumerge, True),
-    "prumerge_plus": (_select_prumerge_plus, True),
-    "sequential": (_select_sequential, False),
-    "spatial": (_select_spatial, False),
-}
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -78,10 +52,14 @@ class PipelineConfig:
     normalize_weights: bool = True
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in (*_ADAPTIVE, "sequential", "spatial"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.k != "auto" and (not isinstance(self.k, int) or self.k < 1):
+        if self.k != "auto" and (not _is_int(self.k) or self.k < 1):
             raise ValueError("k must be 'auto' or a positive integer")
+        for name in ("floor", "budget", "grid_rows", "grid_cols"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.floor < 1:
             raise ValueError("floor must be >= 1")
         if self.supplement_ratio != "auto" and not 0 < float(self.supplement_ratio) <= 1:
@@ -96,7 +74,7 @@ class PipelineConfig:
             "budget": self.mode != "sequential" and self.budget is not None,
             "grid_rows/grid_cols": self.mode != "spatial" and grid != (None, None),
             "supplement_ratio": self.mode != "prumerge_plus" and self.supplement_ratio != "auto",
-            "floor": not _MODES[self.mode][1] and self.floor != 1,
+            "floor": self.mode not in _ADAPTIVE and self.floor != 1,
         }
         ignored = [name for name, hit in unused.items() if hit]
         if ignored:
@@ -104,15 +82,25 @@ class PipelineConfig:
 
 
 def reduce_tokens(tokens: TokenSet, config: PipelineConfig) -> ReducedTokenSet:
-    """Reduce one image's tokens: class attention, the mode's selection
-    stage, then k-nearest-key merging around every kept token."""
-    select, adaptive = _MODES[config.mode]
+    """Reduce one image's tokens: class attention, the mode's selection,
+    then k-nearest-key merging around every kept token."""
+    # the stages are called by their names on this module, so a function
+    # rebound there (a tracer, a test's counter) is the one that runs
     attention = class_attention(tokens)
-    selection = select(tokens, attention, config)
+    if config.mode == "sequential":
+        selection = sequential_baseline(tokens.n, config.budget)
+    elif config.mode == "spatial":
+        selection = spatial_grid_baseline(tokens.grid, config.grid_rows, config.grid_cols)
+    else:
+        selection = select_outliers(attention, floor=config.floor)
+        if config.mode == "prumerge_plus":
+            ratio = config.supplement_ratio
+            ratio = selection.m / tokens.n if ratio == "auto" else float(ratio)
+            selection = uniform_spatial_supplement(selection, tokens.grid, ratio)
     if config.k != "auto":
         k = config.k
     else:
-        k = math.ceil(tokens.n / selection.m) if adaptive else 1
+        k = math.ceil(tokens.n / selection.m) if config.mode in _ADAPTIVE else 1
     return token_supplement(
         selection, tokens, attention, min(k, tokens.n), normalize=config.normalize_weights
     )

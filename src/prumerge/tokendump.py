@@ -84,47 +84,49 @@ def write_outputs(outputs) -> None:
     temporary file beside its destination, and none is renamed into place
     until every one of them has been written. Before its rename, an
     existing destination other than the last is hard-linked (or, where
-    links are not supported, copied) to a new backup beside it; if a
-    rename fails, every destination already replaced is restored from its
-    backup, or removed if it had none. Temporary and backup files are
-    created exclusively, and only files this call created are removed.
-    An existing path that is not a regular file (a directory, FIFO,
-    device or symlink) is refused before anything is staged, since the
-    rename would replace it. A failure raises OSError."""
+    links are not supported, copied) to a new backup beside it; if any
+    exception stops the write, every destination already replaced is
+    restored from its backup, or removed if it had none, and the exception
+    propagates unchanged. Temporary and backup files are created
+    exclusively, and only files this call created are removed; a backup
+    that cannot be moved back or removed stays. An existing path that is
+    not a regular file (a directory, FIFO, device or symlink) is refused
+    before anything is staged, since the rename would replace it."""
     for path, _ in outputs:
         with contextlib.suppress(FileNotFoundError):
             if not stat.S_ISREG(os.lstat(path).st_mode):
                 raise OSError(f"{path} exists and is not a regular file")
-    staged, backups, replaced = [], [], []
+    pid = os.getpid()
+    made, replaced = [], []  # files this call created; (output, backup or None)
     try:
         for i, (path, data) in enumerate(outputs):
-            with open(f"{path}.{os.getpid()}-{i}.tmp", "xb") as fh:
-                staged.append(fh.name)
+            with open(f"{path}.{pid}-{i}.tmp", "xb") as fh:
+                made.append(fh.name)
                 fh.write(data)
-        for i, (tmp, (path, _)) in enumerate(zip(staged, outputs)):
+        for i, (path, _) in enumerate(outputs):
+            tmp, backup = f"{path}.{pid}-{i}.tmp", None
             # a backup is read only if a later rename fails
-            backup = None
             if i < len(outputs) - 1 and os.path.exists(path):
-                backup = f"{path}.{os.getpid()}-{i}.bak"
-                _back_up(path, backup, backups)
+                backup = f"{path}.{pid}-{i}.bak"
+                _back_up(path, backup, made)
             os.replace(tmp, path)
+            made.remove(tmp)
             replaced.append((path, backup))
-    except OSError as exc:
-        for done, backup in reversed(replaced):
+    except BaseException:
+        for path, backup in reversed(replaced):
             with contextlib.suppress(OSError):
                 if backup:
-                    os.replace(backup, done)
+                    made.remove(backup)  # one that cannot be moved back stays
+                    os.replace(backup, path)
                 else:
-                    os.remove(done)
-        # the backups of replaced outputs were moved back; one that could
-        # not be holds the only previous copy and stays
-        used = {backup for _, backup in replaced}
-        for leftover in staged[len(replaced):] + [b for b in backups if b not in used]:
-            with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+        for leftover in made:
+            with contextlib.suppress(OSError):
                 os.remove(leftover)
-        raise OSError(exc.errno, exc.strerror, path) from exc
-    for backup in backups:
-        os.remove(backup)
+        raise
+    for backup in made:
+        with contextlib.suppress(OSError):
+            os.remove(backup)
 
 
 def _write_bytes(data: bytes, destination) -> int:

@@ -1,9 +1,14 @@
+import importlib
 import json
 import os
 import stat
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
+import prumerge
 import pytest
 
 from prumerge import costmodel, read_reduced_dump
@@ -316,6 +321,17 @@ def test_staged_name_taken_by_a_symlink_is_refused(tmp_path):
     assert planted.is_symlink()
 
 
+
+def test_error_names_the_file_that_stopped_the_write(tmp_path, capsys):
+    planted = tmp_path / f"c.json.{os.getpid()}-0.tmp"
+    planted.symlink_to(tmp_path / "victim.txt")
+    assert run(["cost", "--model", "7b", "--tokens-full", "616", "--tokens-reduced", "80",
+                "--report", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{planted}'" in err
+    assert f"'{tmp_path / 'c.json'}'" not in err
+
+
 class TestCost:
     def test_7b_report(self, tmp_path):
         report = tmp_path / "c.json"
@@ -467,3 +483,31 @@ class TestDeterminism:
             outputs.append((dump.read_bytes(), out.read_bytes(),
                             stats.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("args, code", [
+        (["--help"], 0),
+        (["reduce", "--bogus"], 1),
+        (["reduce", "--input", "missing.prmg", "--mode", "prumerge", "--out", "r.prmr"], 2),
+    ], ids=["help", "bad-flag", "missing-input"])
+    def test_module_exits_with_the_documented_code(self, tmp_path, args, code):
+        src = str(Path(prumerge.__file__).parents[1])
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-m", "prumerge.cli"] + args, cwd=tmp_path,
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert child.returncode == code, child.stderr
+        if code == 0:
+            assert child.stdout.startswith("usage: prumerge")
+        else:
+            assert "error:" in child.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_console_script_names_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["prumerge"]
+        assert target == "prumerge.cli:main"
+        module, name = target.split(":")
+        assert callable(getattr(importlib.import_module(module), name))

@@ -158,6 +158,35 @@ class TestBaselines:
         with pytest.raises(ValueError, match=f"does not use {unused}$"):
             PipelineConfig(mode=mode, **fields)
 
+    @pytest.mark.parametrize("fields", [
+        {"k": True},
+        {"k": 2.0},
+        {"floor": True},
+        {"floor": 2.5},
+        {"mode": "sequential", "budget": 2.5},
+        {"mode": "sequential", "budget": True},
+        {"mode": "spatial", "grid_rows": 2.0, "grid_cols": 2},
+        {"mode": "spatial", "grid_rows": 2, "grid_cols": np.float64(2)},
+    ], ids=repr)
+    def test_integer_fields_reject_other_types(self, fields):
+        # caught at construction, not as a TypeError inside reduce_tokens
+        with pytest.raises(ValueError, match="k must be|must be an integer"):
+            PipelineConfig(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"k": 3, "floor": 2},
+        {"mode": "sequential", "budget": 16},
+        {"mode": "spatial", "grid_rows": 4, "grid_cols": 6},
+    ], ids=repr)
+    def test_numpy_integers_are_accepted(self, fields):
+        tokens = synth(12)
+        expected = reduce_tokens(tokens, PipelineConfig(**fields))
+        as_numpy = {name: np.int32(v) if isinstance(v, int) else v
+                    for name, v in fields.items()}
+        result = reduce_tokens(tokens, PipelineConfig(**as_numpy))
+        assert result.tokens.tobytes() == expected.tokens.tobytes()
+        assert result.stats() == expected.stats()
+
 
 class TestDeterminismAndDispatch:
     def test_identical_runs_bit_identical(self):

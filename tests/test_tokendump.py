@@ -28,7 +28,7 @@ from prumerge import (
     write_reduced_dump,
     write_token_dump,
 )
-from prumerge.tokendump import demo_corpus_specs, spike_positions
+from prumerge.tokendump import demo_corpus_specs, spike_positions, write_outputs
 from oracles import centered_grid
 
 
@@ -214,6 +214,44 @@ class TestPathWrites:
         assert links == []
         assert path.read_bytes() == io_bytes(minimal_tokens())
         assert [p.name for p in tmp_path.iterdir()] == ["t.prmg"]
+
+    def test_interrupted_write_restores_every_output(self, tmp_path, monkeypatch):
+        # not an OSError: Ctrl-C (or MemoryError) must undo the write too
+        paths = [tmp_path / name for name in "abc"]
+        for path in paths:
+            path.write_bytes(b"previous")
+        replace = os.replace
+        renames = []
+
+        def interrupted_second(src, dst):
+            if src.endswith(".tmp"):
+                renames.append(dst)
+                if len(renames) == 2:
+                    raise KeyboardInterrupt
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interrupted_second)
+        with pytest.raises(KeyboardInterrupt):
+            write_outputs([(str(path), b"new") for path in paths])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "c"]
+        assert all(path.read_bytes() == b"previous" for path in paths)
+
+    def test_backup_that_cannot_be_removed_does_not_fail_the_write(
+            self, tmp_path, monkeypatch):
+        paths = [tmp_path / name for name in "ab"]
+        for path in paths:
+            path.write_bytes(b"previous")
+        remove = os.remove
+
+        def refuse_backups(path):
+            if str(path).endswith(".bak"):
+                raise PermissionError(13, "Permission denied", path)
+            remove(path)
+
+        monkeypatch.setattr(os, "remove", refuse_backups)
+        write_outputs([(str(path), b"new") for path in paths])
+        assert all(path.read_bytes() == b"new" for path in paths)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", f"a.{os.getpid()}-0.bak", "b"]
 
     @pytest.mark.parametrize("kind", ["dir", "symlink"])
     def test_path_that_is_not_a_regular_file_is_refused(self, tmp_path, kind):
