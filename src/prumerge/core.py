@@ -20,7 +20,9 @@ __all__ = [
 
 
 def _check_finite(name, arr):
-    if not np.all(np.isfinite(arr)):
+    # NaN propagates through min and max, and an infinity is one of them,
+    # so no elementwise temporary is needed
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError(f"{name} contains non-finite entries")
 
 
@@ -124,35 +126,46 @@ def class_attention(tokens: TokenSet) -> np.ndarray:
     return scaled_softmax(logits, tokens.d_k).mean(axis=0)
 
 
+# float64 key block of key_similarity
+_SIMILARITY_BLOCK_BYTES = 2 << 20
+
+
 def key_similarity(tokens: TokenSet, centers) -> np.ndarray:
     """Dot-product similarity of the center tokens' keys to every key:
     an (m, n) float64 array, one row per center.
 
-    With multiple heads, the similarity is the sum of the per-head dot
-    products (equal to concatenating each token's per-head keys). Each
-    head's keys are cast to float64 and multiplied with one BLAS
-    product. BLAS may round equal dot products differently depending on
-    where a column sits, so every token whose key equals an earlier
-    token's key (over all heads, with -0.0 equal to 0.0) is given that
-    earlier token's column: identical keys get exactly equal
-    similarities and rank by lower index.
+    With multiple heads, the similarity is the dot product of each
+    token's concatenated per-head keys (equal to the sum of the per-head
+    dot products). The keys are cast to float64 a block of tokens at a
+    time, into one reused buffer of about ``_SIMILARITY_BLOCK_BYTES``,
+    and each block is multiplied against the centers' keys with one BLAS
+    product, so the float64 keys never exist all at once. BLAS may round
+    equal dot products differently depending on where a column sits, so
+    every token whose key equals an earlier token's key (over all heads,
+    with -0.0 equal to 0.0) is given that earlier token's column:
+    identical keys get exactly equal similarities and rank by lower index.
     """
     centers = np.asarray(centers, dtype=np.intp)
+    n_heads, n, d_k = tokens.K.shape
+    width = n_heads * d_k
+    rows = tokens.K.transpose(1, 0, 2)[centers].reshape(centers.size, width)
+    rows = rows.astype(np.float64)
     # any fixed probe gives equal keys equal fingerprints; sines of the
     # integers have no simple linear relations, so distinct keys rarely
     # share one
-    probe = np.sin(np.arange(1, tokens.n_heads * tokens.d_k + 1)).reshape(tokens.n_heads, -1)
-    similarity = None
-    fingerprint = np.zeros(tokens.n)
-    for head_keys, head_probe in zip(tokens.K, probe):
-        keys = head_keys.astype(np.float64)
-        product = keys[centers] @ keys.T
-        if similarity is None:
-            similarity = product
-        else:
-            similarity += product
+    probe = np.sin(np.arange(1, width + 1))
+    similarity = np.empty((centers.size, n))
+    fingerprint = np.empty(n)
+    block = max(1, min(n, _SIMILARITY_BLOCK_BYTES // (8 * width)))
+    buf = np.empty((block, n_heads, d_k))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        keys = buf[: stop - start]
+        keys[:] = tokens.K[:, start:stop].transpose(1, 0, 2)
+        keys = keys.reshape(stop - start, width)
+        np.matmul(rows, keys.T, out=similarity[:, start:stop])
         # einsum rounds every row the same way, so equal keys get equal fingerprints
-        fingerprint += np.einsum("nd,d->n", keys, head_probe)
+        fingerprint[start:stop] = np.einsum("nd,d->n", keys, probe)
     dup, first = _equal_key_columns(tokens.K, fingerprint)
     similarity[:, dup] = similarity[:, first]
     return similarity

@@ -5,7 +5,10 @@ included) form a cluster, and the center is replaced by the class-
 attention-weighted average of the cluster's embeddings. Weights are
 normalized within each cluster by default so the merged embedding keeps
 the scale of its members; an unnormalized mode is available for
-comparison. All clusters are ranked and merged in one batched pass.
+comparison. All clusters are ranked in one pass over blocks of key
+columns, then merged over blocks of centers, so the float64 keys and the
+gathered member embeddings are each bounded by a fixed byte budget, not
+by n or m.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ from .core import TokenSet, key_similarity
 from .selection import SelectionResult, attention_values
 
 __all__ = ["ReducedTokenSet", "token_supplement"]
+
+# float32 member embeddings gathered at once by the merge; a single
+# center whose k x d members exceed it is merged alone
+_MERGE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -100,8 +107,12 @@ def token_supplement(
         # bit-exact pruning path; the einsum's zero-started sum would turn -0.0 into 0.0
         refined = tokens.Y[centers]
     else:
-        refined = np.einsum("mk,mkd->md", weights, tokens.Y[members],
-                            dtype=np.float64).astype(tokens.Y.dtype)
+        refined = np.empty((centers.size, tokens.d), dtype=tokens.Y.dtype)
+        step = max(1, _MERGE_BLOCK_BYTES // (tokens.Y.itemsize * k * tokens.d))
+        for start in range(0, centers.size, step):
+            block = slice(start, start + step)
+            refined[block] = np.einsum("mk,mkd->md", weights[block], tokens.Y[members[block]],
+                                       dtype=np.float64)
     return ReducedTokenSet(refined, selection, members, weights, tokens.n)
 
 

@@ -12,6 +12,7 @@ gathering unless an explicit k turns merging on for ablation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,10 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     mode: str = "prumerge"
@@ -62,8 +67,13 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.floor < 1:
             raise ValueError("floor must be >= 1")
-        if self.supplement_ratio != "auto" and not 0 < float(self.supplement_ratio) <= 1:
-            raise ValueError("supplement_ratio must be 'auto' or in (0, 1]")
+        ratio = self.supplement_ratio
+        if not (isinstance(ratio, str) and ratio == "auto"
+                or _is_real(ratio) and 0 < ratio <= 1):
+            raise ValueError(f"supplement_ratio must be 'auto' or in (0, 1], got {ratio!r}")
+        if not isinstance(self.normalize_weights, (bool, np.bool_)):
+            raise ValueError(
+                f"normalize_weights must be a bool, got {self.normalize_weights!r}")
         if self.mode == "sequential" and (self.budget is None or self.budget < 1):
             raise ValueError("sequential mode requires a budget >= 1")
         if self.mode == "spatial" and (self.grid_rows is None or self.grid_cols is None):

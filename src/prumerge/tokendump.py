@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import io
+import mmap
 import os
 import shutil
 import stat
@@ -185,11 +187,34 @@ def _size_error(actual: int, expected: int) -> TokenDumpError:
     return TokenDumpError(f"trailing bytes: {actual} > {expected}")
 
 
+def _mapped(fh, size):
+    """The next size bytes of fh as a read-only memoryview of a map of
+    its file, or None unless fh reads a regular file's bytes as they are
+    (a gzip or bz2 file reports its compressed file's descriptor, so it
+    does not qualify) and the file system can map it. fh moves past the
+    bytes, as a read would."""
+    if not isinstance(getattr(fh, "raw", fh), io.FileIO):
+        return None
+    fd = fh.fileno()
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        return None
+    try:
+        whole = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):  # no mmap support, or a file emptied meanwhile
+        return None
+    here = fh.tell()
+    fh.seek(here + size)
+    # arrays built on the view keep the map open; it is unmapped when they are freed
+    return memoryview(whole)[here:here + size]
+
+
 def _read_dump(source, header: struct.Struct, payload_size):
     """Read a dump's header, check the size it declares, then read the
     payload. ``payload_size`` validates the unpacked header fields and
     returns the payload byte count they declare. When the source can
     seek, a wrong size is rejected before any of the payload is read.
+    A regular file's payload is mapped read-only instead of read, so the
+    arrays built on it are views of the page cache, not a private copy.
     Returns (fields, payload)."""
     with _opened(source) as fh:
         head = fh.read(header.size)
@@ -201,9 +226,11 @@ def _read_dump(source, header: struct.Struct, payload_size):
         left = _bytes_left(fh)
         if left is not None and left != size:
             raise _size_error(header.size + left, expected)
-        # an unseekable source is read to its end: read(size) would
-        # allocate a corrupt header's declared size before reading
-        payload = fh.read(-1 if left is None else size)
+        payload = _mapped(fh, size) if left is not None else None
+        if payload is None:
+            # an unseekable source is read to its end: read(size) would
+            # allocate a corrupt header's declared size before reading
+            payload = fh.read(-1 if left is None else size)
         if len(payload) != size:
             raise _size_error(header.size + len(payload), expected)
     return fields, payload

@@ -140,6 +140,24 @@ class TestReduce:
         assert "truncated header" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["t.prmg"]
 
+    @pytest.mark.parametrize("extra", [[], ["--stats", "s.json"]], ids=["out", "out-stats"])
+    def test_output_over_its_own_mapped_input(self, dump, tmp_path, extra):
+        # --out naming --input itself is refused, but a hard link to the
+        # input is another name for the mapped file; the output replaces
+        # that name and leaves the mapped pages alone
+        try:
+            os.link(dump, tmp_path / "link.prmg")
+        except OSError as exc:
+            pytest.skip(f"no hard links here: {exc}")
+        extra = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in extra]
+        argv = ["reduce", "--input", str(dump), "--mode", "prumerge+"] + extra
+        assert run(argv + ["--out", str(tmp_path / "fresh.prmr")]) == 0
+        assert run(argv + ["--out", str(tmp_path / "link.prmg")]) == 0
+        assert (tmp_path / "link.prmg").read_bytes() == (tmp_path / "fresh.prmr").read_bytes()
+        assert run(["reduce", "--input", str(dump), "--mode", "prumerge+",
+                    "--out", str(tmp_path / "again.prmr")]) == 0
+        assert (tmp_path / "again.prmr").read_bytes() == (tmp_path / "fresh.prmr").read_bytes()
+
     def test_unknown_flag_is_usage_error(self, dump, capsys):
         assert run(["reduce", "--input", str(dump), "--frobnicate"]) == 1
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prumerge.core
 import prumerge.merging
 from prumerge import (
     SynthSpec,
@@ -13,8 +14,10 @@ from prumerge import (
     select_outliers,
     synth_generate,
     token_supplement,
+    uniform_spatial_supplement,
 )
-from prumerge.core import _equal_key_columns
+from prumerge.core import _SIMILARITY_BLOCK_BYTES, _equal_key_columns
+from prumerge.merging import _MERGE_BLOCK_BYTES
 from prumerge.selection import SelectionResult
 from prumerge.tokendump import demo_corpus_specs
 from oracles import merge_oracle
@@ -356,3 +359,53 @@ def test_small_shapes_allocate_two_similarity_blocks_at_most():
     tokens = synth_generate(demo_corpus_specs()[0])
     peak, m = supplement_peak(tokens)
     assert peak < 2.5 * 8 * m * tokens.n
+
+
+def test_anyres_peak_is_bounded_by_the_block_budgets():
+    # 5-tile AnyRes shapes under prumerge+: holding every float64 key, or
+    # the whole (m, k, d) gather of member embeddings (11.9 MB), breaks
+    # the bound; the (m, n) similarity rows, their partitioned copy and
+    # the centers' float64 keys are what scales with m
+    tokens = synth_generate(SynthSpec(grid=(120, 24), d=1024, d_k=64, n_heads=16,
+                                      n_spikes=32, seed=1))
+    attention = class_attention(tokens)
+    selection = select_outliers(attention)
+    selection = uniform_spatial_supplement(selection, tokens.grid, selection.m / tokens.n)
+    k = -(-tokens.n // selection.m)
+    tracemalloc.start()
+    try:
+        token_supplement(selection, tokens, attention, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m, width = selection.m, tokens.n_heads * tokens.d_k
+    rows = 2 * 8 * m * tokens.n + 8 * m * width
+    assert peak < _SIMILARITY_BLOCK_BYTES + _MERGE_BLOCK_BYTES + rows
+
+
+@given(st.integers(0, 10**6), st.sampled_from([(1, 8), (4, 4), (16, 2)]),
+       st.integers(1, 5), st.integers(1, 40), st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_small_blocks_match_the_oracle(seed, shape, pool_size, n, tokens_per_block):
+    # blocks of a few key columns and one center per merge block take
+    # every block boundary the default budgets skip at these sizes
+    n_heads, d_k = shape
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(pool_size, n_heads * d_k)).astype(np.float32)
+    flat = pool[rng.integers(0, pool_size, size=n)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prumerge.core, "_SIMILARITY_BLOCK_BYTES", 8 * n_heads * d_k * tokens_per_block)
+        mp.setattr(prumerge.merging, "_MERGE_BLOCK_BYTES", 1)
+        assert_matches_oracle(flat, n_heads, rng, ks=sorted({1, min(2, n), int(rng.integers(1, n + 1)), n}))
+
+
+def test_blocked_merge_is_byte_identical_to_one_block(monkeypatch):
+    tokens = synth_generate(SynthSpec(grid=(12, 12), d=64, d_k=8, n_heads=2,
+                                      n_spikes=20, cluster_count=3, seed=5))
+    attention = class_attention(tokens)
+    selection = select_outliers(attention)
+    whole = token_supplement(selection, tokens, attention, 9)
+    monkeypatch.setattr(prumerge.merging, "_MERGE_BLOCK_BYTES", 3 * 4 * 9 * 64)
+    blocked = token_supplement(selection, tokens, attention, 9)
+    assert whole.tokens.tobytes() == blocked.tokens.tobytes()
+    np.testing.assert_array_equal(whole.members, blocked.members)

@@ -187,6 +187,33 @@ class TestBaselines:
         assert result.tokens.tobytes() == expected.tokens.tobytes()
         assert result.stats() == expected.stats()
 
+    @pytest.mark.parametrize("ratio", [True, np.bool_(True), "0.5", "1", "", None, [0.5],
+                                       0, 1.5, float("nan")], ids=repr)
+    def test_supplement_ratio_rejects_other_types(self, ratio):
+        with pytest.raises(ValueError, match="supplement_ratio must be 'auto' or in"):
+            PipelineConfig(mode="prumerge_plus", supplement_ratio=ratio)
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, 0.0], ids=repr)
+    def test_normalize_weights_rejects_non_bools(self, value):
+        with pytest.raises(ValueError, match="normalize_weights must be a bool"):
+            PipelineConfig(normalize_weights=value)
+
+    @pytest.mark.parametrize("fields", [
+        {"mode": "prumerge_plus", "supplement_ratio": 0.25},
+        {"mode": "prumerge_plus", "supplement_ratio": 1},
+        {"normalize_weights": False},
+        {"normalize_weights": True},
+    ], ids=repr)
+    def test_numpy_ratio_and_bool_are_accepted(self, fields):
+        tokens = synth(12)
+        expected = reduce_tokens(tokens, PipelineConfig(**fields))
+        as_numpy = {name: np.bool_(v) if isinstance(v, bool)
+                    else np.float32(v) if isinstance(v, (int, float)) else v
+                    for name, v in fields.items()}
+        result = reduce_tokens(tokens, PipelineConfig(**as_numpy))
+        assert result.tokens.tobytes() == expected.tokens.tobytes()
+        assert result.weights.tobytes() == expected.weights.tobytes()
+
 
 class TestDeterminismAndDispatch:
     def test_identical_runs_bit_identical(self):

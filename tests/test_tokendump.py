@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,112 @@ def test_empty_dump_is_truncated_header(tmp_path, kind, read):
     if writer:
         writer.join(timeout=10)
         assert not writer.is_alive()
+
+
+def assert_same_tokens(a, b):
+    assert a.grid == b.grid
+    for x, y in ((a.q_cls, b.q_cls), (a.K, b.K), (a.Y, b.Y)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def open_fds():
+    """This process's open file descriptors, or None where they cannot be listed."""
+    for fd_dir in ("/proc/self/fd", "/dev/fd"):
+        if os.path.isdir(fd_dir):
+            return len(os.listdir(fd_dir))
+    return None
+
+
+class TestMappedReads:
+    """A regular file's payload is mapped, every other source is read:
+    both give the same tokens."""
+
+    @pytest.fixture
+    def tokens(self):
+        return synth_generate(SynthSpec(grid=(6, 8), d=5, d_k=3, n_heads=2,
+                                        n_spikes=4, seed=3))
+
+    @pytest.mark.parametrize("kind", ["path", "file", "file-after-prefix", "unbuffered",
+                                      "bytesio", "gzip",
+                                      pytest.param("fifo", marks=needs_fifo)])
+    def test_every_source_reads_the_same_tokens(self, tmp_path, tokens, kind):
+        data = io_bytes(tokens)
+        path = tmp_path / "t.prmg"
+        path.write_bytes(b"prefix" + data if kind == "file-after-prefix" else data)
+        writer = None
+        if kind == "path":
+            back = read_token_dump(path)
+        elif kind in ("file", "file-after-prefix", "unbuffered"):
+            with open(path, "rb", buffering=0 if kind == "unbuffered" else -1) as fh:
+                if kind == "file-after-prefix":
+                    fh.read(6)
+                back = read_token_dump(fh)
+                assert fh.tell() == path.stat().st_size  # moved past the payload
+        elif kind == "bytesio":
+            back = read_token_dump(io.BytesIO(data))
+        elif kind == "gzip":
+            # reports the compressed file's descriptor; its bytes are not the dump's
+            gz = pytest.importorskip("gzip")
+            with gz.open(path.with_suffix(".gz"), "wb") as fh:
+                fh.write(data)
+            with gz.open(path.with_suffix(".gz"), "rb") as fh:
+                back = read_token_dump(fh)
+        else:
+            path.unlink()
+            os.mkfifo(path)
+            writer = threading.Thread(target=path.write_bytes, args=(data,))
+            writer.start()
+            back = read_token_dump(path)
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert_same_tokens(back, tokens)
+
+    def test_mapped_arrays_are_read_only_and_outlive_the_file(self, tmp_path, tokens):
+        path = tmp_path / "t.prmg"
+        write_token_dump(tokens, path)
+        back = read_token_dump(path)
+        assert not (back.K.flags.writeable or back.Y.flags.writeable)
+        with pytest.raises(ValueError, match="read-only"):
+            back.Y[0, 0] = 1.0
+        path.unlink()  # the map keeps the removed file's pages
+        assert_same_tokens(back, tokens)
+
+    def test_reading_many_dumps_leaks_no_handle(self, tmp_path, tokens):
+        # a leaked file or map would also warn, and warnings are errors here
+        before = open_fds()
+        if before is None:
+            pytest.skip("cannot list open file descriptors")
+        path = tmp_path / "t.prmg"
+        write_token_dump(tokens, path)
+        for _ in range(200):
+            assert read_token_dump(path).n == tokens.n
+        assert open_fds() == before
+
+    def test_output_replacing_its_own_input(self, tmp_path, tokens):
+        path, fresh = tmp_path / "t.prmg", tmp_path / "fresh.prmg"
+        write_token_dump(tokens, path)
+        back = read_token_dump(path)
+        write_token_dump(back, fresh)
+        write_token_dump(back, path)  # renamed over the mapped file
+        assert path.read_bytes() == fresh.read_bytes() == io_bytes(tokens)
+        assert_same_tokens(back, tokens)
+
+    def test_regular_file_read_allocates_no_payload_copy(self, tmp_path):
+        # AnyRes shape: the payload is 23.6 MB, and a private copy of it
+        # (with an elementwise finiteness check) peaked at 26.6 MB
+        tokens = synth_generate(SynthSpec(grid=(120, 24), d=1024, d_k=64, n_heads=16,
+                                          n_spikes=32, seed=1))
+        path = tmp_path / "t.prmg"
+        write_token_dump(tokens, path)
+        del tokens
+        tracemalloc.start()
+        try:
+            back = read_token_dump(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.n == 2880
+        assert peak < 2**20
 
 
 # lowers the file-size limit of its own process only, then writes a
