@@ -126,7 +126,7 @@ def class_attention(tokens: TokenSet) -> np.ndarray:
     return scaled_softmax(logits, tokens.d_k).mean(axis=0)
 
 
-# float64 key block of key_similarity
+# float64 key block of the similarity windows
 _SIMILARITY_BLOCK_BYTES = 2 << 20
 
 
@@ -136,39 +136,66 @@ def key_similarity(tokens: TokenSet, centers) -> np.ndarray:
 
     With multiple heads, the similarity is the dot product of each
     token's concatenated per-head keys (equal to the sum of the per-head
-    dot products). The keys are cast to float64 a block of tokens at a
-    time, into one reused buffer of about ``_SIMILARITY_BLOCK_BYTES``,
-    and each block is multiplied against the centers' keys with one BLAS
-    product, so the float64 keys never exist all at once. BLAS may round
-    equal dot products differently depending on where a column sits, so
-    every token whose key equals an earlier token's key (over all heads,
-    with -0.0 equal to 0.0) is given that earlier token's column:
-    identical keys get exactly equal similarities and rank by lower index.
+    dot products). This is the one-window case of ``_similarity_windows``,
+    which documents how the rows are computed.
+    """
+    ((_, similarity),) = _similarity_windows(tokens, centers, tokens.n)
+    return similarity
+
+
+def _similarity_windows(tokens: TokenSet, centers, width: int):
+    """Yield ``(start, rows)`` for consecutive windows of at most ``width``
+    key columns: ``rows`` holds the (m, stop - start) float64
+    similarities of the centers to tokens start..stop-1.
+
+    The keys are cast to float64 a block of tokens at a time, into one
+    reused buffer of about ``_SIMILARITY_BLOCK_BYTES``, and each block is
+    multiplied against the centers' keys with one BLAS product, so the
+    float64 keys never exist all at once. A window holds whole key
+    blocks, so each block is cast once. BLAS may round equal dot products
+    differently depending on where a column sits, so every token whose
+    key equals an earlier token's key (over all heads, with -0.0 equal
+    to 0.0) is given that earlier token's column, kept from the earlier
+    token's own window: identical keys get exactly equal similarities
+    and rank by lower index. The windows share one buffer, so each is
+    valid until the next is asked for.
     """
     centers = np.asarray(centers, dtype=np.intp)
     n_heads, n, d_k = tokens.K.shape
-    width = n_heads * d_k
-    rows = tokens.K.transpose(1, 0, 2)[centers].reshape(centers.size, width)
+    size = n_heads * d_k
+    rows = tokens.K.transpose(1, 0, 2)[centers].reshape(centers.size, size)
     rows = rows.astype(np.float64)
+    block = max(1, min(n, _SIMILARITY_BLOCK_BYTES // (8 * size)))
+    span = n
+    if width < n:
+        # shrink the blocks so that whole blocks fill the window
+        block = width // -(-width // block)
+        span = width // block * block
     # any fixed probe gives equal keys equal fingerprints; sines of the
     # integers have no simple linear relations, so distinct keys rarely
-    # share one
-    probe = np.sin(np.arange(1, width + 1))
-    similarity = np.empty((centers.size, n))
-    fingerprint = np.empty(n)
-    block = max(1, min(n, _SIMILARITY_BLOCK_BYTES // (8 * width)))
-    buf = np.empty((block, n_heads, d_k))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        keys = buf[: stop - start]
-        keys[:] = tokens.K[:, start:stop].transpose(1, 0, 2)
-        keys = keys.reshape(stop - start, width)
-        np.matmul(rows, keys.T, out=similarity[:, start:stop])
-        # einsum rounds every row the same way, so equal keys get equal fingerprints
-        fingerprint[start:stop] = np.einsum("nd,d->n", keys, probe)
+    # share one. One coordinate per head is read; float32 probe values make
+    # every product exact, and einsum sums every token's heads in the same
+    # order, so no rounding depends on a key's position.
+    probe = np.sin(np.arange(1, n_heads + 1)).astype(np.float32)
+    fingerprint = np.einsum("hn,h->n", tokens.K[:, :, 0], probe, dtype=np.float64)
     dup, first = _equal_key_columns(tokens.K, fingerprint)
-    similarity[:, dup] = similarity[:, first]
-    return similarity
+    leaders, slot = np.unique(first, return_inverse=True)
+    kept = np.empty((centers.size, leaders.size))
+    similarity = np.empty(centers.size * span)
+    buf = np.empty((block, n_heads, d_k))
+    for start in range(0, n, span):
+        stop = min(start + span, n)
+        window = similarity[: centers.size * (stop - start)].reshape(centers.size, stop - start)
+        for s in range(start, stop, block):
+            e = min(s + block, stop)
+            keys = buf[: e - s]
+            keys[:] = tokens.K[:, s:e].transpose(1, 0, 2)
+            np.matmul(rows, keys.reshape(e - s, size).T, out=window[:, s - start:e - start])
+        lo, hi = np.searchsorted(leaders, (start, stop))
+        kept[:, lo:hi] = window[:, leaders[lo:hi] - start]
+        lo, hi = np.searchsorted(dup, (start, stop))
+        window[:, dup[lo:hi] - start] = kept[:, slot[lo:hi]]
+        yield start, window
 
 
 def _equal_key_columns(K, fingerprint):

@@ -5,10 +5,11 @@ included) form a cluster, and the center is replaced by the class-
 attention-weighted average of the cluster's embeddings. Weights are
 normalized within each cluster by default so the merged embedding keeps
 the scale of its members; an unnormalized mode is available for
-comparison. All clusters are ranked in one pass over blocks of key
-columns, then merged over blocks of centers, so the float64 keys and the
-gathered member embeddings are each bounded by a fixed byte budget, not
-by n or m.
+comparison. The clusters are ranked over windows of key columns, each
+window's top k merged into a running top k, then merged over blocks of
+centers, so the float64 keys, the similarity rows and the gathered
+member embeddings are each bounded by a fixed byte budget, not by n or
+m·n.
 """
 
 from __future__ import annotations
@@ -17,11 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, key_similarity
+from .core import TokenSet, _similarity_windows, key_similarity
 from .selection import SelectionResult, attention_values
 
 __all__ = ["ReducedTokenSet", "token_supplement"]
 
+# float64 similarity rows computed and ranked at once; at least one
+# column
+_SIMILARITY_WINDOW_BYTES = 8 << 20
+# float64 rows partitioned at once to find each row's k-th value; at
+# least one row
+_PARTITION_BLOCK_BYTES = 64 << 10
 # float32 member embeddings gathered at once by the merge; a single
 # center whose k x d members exceed it is merged alone
 _MERGE_BLOCK_BYTES = 1 << 20
@@ -93,7 +100,7 @@ def token_supplement(
         # the center swap below would make every top-1 the center itself
         members = centers[:, None]
     else:
-        members = _top_k(key_similarity(tokens, centers), k)
+        members = _nearest(tokens, centers, k)
         # degenerate keys can rank k other tokens above the center's
         # self-similarity; keep the center at the cost of the weakest
         missing = ~(members == centers[:, None]).any(axis=1)
@@ -116,19 +123,60 @@ def token_supplement(
     return ReducedTokenSet(refined, selection, members, weights, tokens.n)
 
 
+def _nearest(tokens, centers, k):
+    """Each center's k most key-similar tokens, as ``_top_k`` ranks them
+    over its whole similarity row.
+
+    The rows are computed and ranked one window of key columns at a time,
+    about ``_SIMILARITY_WINDOW_BYTES`` each, and each window's top k is
+    merged into a running top k by a stable sort. The running entries come
+    first and hold lower columns, so ties still go to the lower index.
+    Rows that fit one window come from ``key_similarity`` itself.
+    """
+    width = max(1, _SIMILARITY_WINDOW_BYTES // (8 * centers.size))
+    if width >= tokens.n:
+        windows = [(0, key_similarity(tokens, centers))]
+    else:
+        windows = _similarity_windows(tokens, centers, width)
+    best = columns = None
+    for start, rows in windows:
+        top = _top_k(rows, min(k, rows.shape[1]))
+        negated = np.take_along_axis(rows, top, axis=1)  # _top_k negated rows
+        top += start
+        if best is not None:
+            negated = np.concatenate((best, negated), axis=1)
+            top = np.concatenate((columns, top), axis=1)
+            order = np.argsort(negated, axis=1, kind="stable")[:, :k]
+            negated = np.take_along_axis(negated, order, axis=1)
+            top = np.take_along_axis(top, order, axis=1)
+        best, columns = negated, top
+    return columns
+
+
 def _top_k(similarity, k):
     """Column indices of each row's k largest entries, largest first,
     ties by lower index: the first k columns of a stable descending sort.
 
-    Overwrites similarity with its negation. A partition finds each
-    row's k-th value, and only the entries at least that large (the top
-    k plus any ties at the boundary) are sorted.
+    Overwrites similarity with its negation. ``_kth_smallest`` finds
+    each row's k-th value, and only the entries at least that large (the
+    top k plus any ties at the boundary) are sorted.
     """
     negated = np.negative(similarity, out=similarity)
-    # the fancy index copies the column, so the partitioned (m, n) copy is freed here
-    kth = np.partition(negated, k - 1, axis=1)[:, [k - 1]]
+    kth = _kth_smallest(negated, k)
     rows, cols = np.nonzero(negated <= kth)  # row-major: cols ascend within a row
     order = np.lexsort((negated[rows, cols], rows))
     counts = np.bincount(rows, minlength=negated.shape[0])
     starts = np.cumsum(counts) - counts
     return cols[order[starts[:, None] + np.arange(k)]]
+
+
+def _kth_smallest(a, k):
+    """Each row's k-th smallest value, as an (m, 1) column. The rows are
+    partitioned a block of about ``_PARTITION_BLOCK_BYTES`` at a time, so
+    the partitioned copy never holds more than one block."""
+    kth = np.empty((a.shape[0], 1), dtype=a.dtype)
+    step = max(1, _PARTITION_BLOCK_BYTES // (a.itemsize * a.shape[1]))
+    for start in range(0, a.shape[0], step):
+        block = a[start:start + step]
+        kth[start:start + step, 0] = np.partition(block, k - 1, axis=1)[:, k - 1]
+    return kth

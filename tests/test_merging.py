@@ -2,22 +2,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prumerge.core
 import prumerge.merging
 from prumerge import (
+    PipelineConfig,
     SynthSpec,
     TokenSet,
     class_attention,
+    reduce_tokens,
     select_outliers,
     synth_generate,
     token_supplement,
     uniform_spatial_supplement,
 )
-from prumerge.core import _SIMILARITY_BLOCK_BYTES, _equal_key_columns
-from prumerge.merging import _MERGE_BLOCK_BYTES
+from prumerge.core import _SIMILARITY_BLOCK_BYTES, _equal_key_columns, _similarity_windows
+from prumerge.merging import _MERGE_BLOCK_BYTES, _SIMILARITY_WINDOW_BYTES, _kth_smallest
 from prumerge.selection import SelectionResult
 from prumerge.tokendump import demo_corpus_specs
 from oracles import merge_oracle
@@ -409,3 +411,77 @@ def test_blocked_merge_is_byte_identical_to_one_block(monkeypatch):
     blocked = token_supplement(selection, tokens, attention, 9)
     assert whole.tokens.tobytes() == blocked.tokens.tobytes()
     np.testing.assert_array_equal(whole.members, blocked.members)
+
+
+def test_every_token_kept_peak_is_bounded_by_the_window_budgets(monkeypatch):
+    # prumerge+ at ratio 1 keeps every token of a 48x48 grid (m = n =
+    # 2304), so the whole (m, n) float64 similarity array (42 MB) breaks
+    # the bound; one window, its boolean top-k mask (an eighth of it),
+    # a key block, the centers' float64 keys and O(m k) ranking state
+    # must not
+    tokens = synth_generate(SynthSpec(grid=(48, 48), d=8, d_k=8, n_heads=1,
+                                      n_spikes=32, seed=1))
+    config = PipelineConfig(mode="prumerge_plus", supplement_ratio=1.0, k=2)
+    tracemalloc.start()
+    try:
+        windowed = reduce_tokens(tokens, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m, k, width = windowed.m, 2, tokens.n_heads * tokens.d_k
+    assert m == tokens.n
+    assert peak < (_SIMILARITY_WINDOW_BYTES * 9 // 8 + _SIMILARITY_BLOCK_BYTES
+                   + 8 * m * width + 64 * m * k)
+    monkeypatch.setattr(prumerge.merging, "_SIMILARITY_WINDOW_BYTES", 8 * m * tokens.n)
+    whole = reduce_tokens(tokens, config)
+    np.testing.assert_array_equal(windowed.members, whole.members)
+    assert windowed.tokens.tobytes() == whole.tokens.tobytes()
+
+
+@given(st.integers(0, 10**6), st.sampled_from([1, 4, 16]), st.integers(1, 3),
+       st.integers(1, 16), st.integers(1, 7), st.integers(1, 7))
+@example(seed=0, n_heads=16, pool_size=1, n=7, window=3, tokens_per_block=1)
+@example(seed=122, n_heads=16, pool_size=2, n=13, window=5, tokens_per_block=3)
+@settings(max_examples=40, deadline=None)
+def test_small_windows_match_the_oracle_and_one_window(seed, n_heads, pool_size, n,
+                                                       window, tokens_per_block):
+    # windows of a few columns put duplicate keys and their leaders (the
+    # lowest index with that key) in different windows, and make k wider
+    # than a window; the explicit examples are ones where BLAS rounds a
+    # duplicate's raw similarity differently from its leader's, so a
+    # leader column that is not carried over shows
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(pool_size, n_heads * 4)).astype(np.float32)
+    flat = pool[rng.integers(0, pool_size, size=n)]
+    tokens = TokenSet(grid=(1, n), q_cls=np.ones((n_heads, 4)),
+                      K=flat.reshape(n, n_heads, 4).transpose(1, 0, 2),
+                      Y=rng.normal(size=(n, 3)))
+    a = rng.exponential(size=n)
+    selection = selection_of(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                        replace=False).tolist())
+    leader = [min(i for i in range(n) if (flat[i] == flat[j]).all()) for j in range(n)]
+    rows = np.concatenate([w.copy() for _, w in _similarity_windows(tokens, selection.indices,
+                                                                     window)], axis=1)
+    assert rows[:, leader].tobytes() == rows.tobytes()
+    for k in range(1, n + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prumerge.core, "_SIMILARITY_BLOCK_BYTES", 8 * n_heads * 4 * tokens_per_block)
+            whole = token_supplement(selection, tokens, a, k)
+            mp.setattr(prumerge.merging, "_SIMILARITY_WINDOW_BYTES", 8 * selection.m * window)
+            windowed = token_supplement(selection, tokens, a, k)
+        _, member_lists = merge_oracle(selection.indices, flat, a, tokens.Y, k)
+        assert [tuple(row) for row in windowed.members.tolist()] == member_lists, k
+        assert windowed.members.tobytes() == whole.members.tobytes()
+        assert windowed.tokens.tobytes() == whole.tokens.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 8 * 11 * 2, 8 * 11 * 5, 8 * 11 * 37, 1 << 20])
+def test_row_blocked_kth_values_equal_a_whole_partition(monkeypatch, budget):
+    # small integers: many ties, and the k-th value often sits among them;
+    # a budget under one row still partitions one row at a time
+    a = np.random.default_rng(3).integers(-3, 4, size=(37, 11)).astype(np.float64)
+    monkeypatch.setattr(prumerge.merging, "_PARTITION_BLOCK_BYTES", budget)
+    for k in range(1, 12):
+        kth = _kth_smallest(a, k)
+        assert kth.shape == (37, 1)
+        np.testing.assert_array_equal(kth[:, 0], np.partition(a, k - 1, axis=1)[:, k - 1])
