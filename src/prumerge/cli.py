@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import glob
 import io
 import json
@@ -70,46 +71,55 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _parse_k(text: str):
-    return "auto" if text == "auto" else int(text)
-
-
-def _parse_ratio(text: str):
-    return "auto" if text == "auto" else float(text)
+def _auto_or(number):
+    """An argparse type: the word ``auto`` or a value of type number."""
+    def parse(text: str):
+        return "auto" if text == "auto" else number(text)
+    parse.__name__ = number.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="prumerge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reduce", help="reduce a token dump")
+    # reduce and synth flags are named after the PipelineConfig and
+    # SynthSpec fields they fill; a flag left out is absent from the
+    # parsed arguments, so the field's own default applies
+    p = sub.add_parser("reduce", help="reduce a token dump",
+                       argument_default=argparse.SUPPRESS)
+    p.set_defaults(handler=_cmd_reduce)
     p.add_argument("--input", required=True)
     p.add_argument(
         "--mode", required=True,
         choices=["prumerge", "prumerge+", "sequential", "spatial"],
     )
-    p.add_argument("--k", type=_parse_k, default="auto")
-    p.add_argument("--floor", type=int, default=1)
-    p.add_argument("--ratio", type=_parse_ratio, default="auto")
+    p.add_argument("--k", type=_auto_or(int))
+    p.add_argument("--floor", type=int)
+    p.add_argument("--ratio", dest="supplement_ratio", metavar="RATIO", type=_auto_or(float))
     p.add_argument("--budget", type=int)
-    p.add_argument("--grid", type=_parse_grid, help="RxC sampling grid for spatial mode")
-    p.add_argument("--raw-weights", action="store_true")
+    p.add_argument("--grid", type=_parse_grid, default=None,
+                   help="RxC sampling grid for spatial mode")
+    p.add_argument("--raw-weights", dest="normalize_weights", action="store_false")
     p.add_argument("--out", required=True)
-    p.add_argument("--stats", help="write per-image stats JSON here")
-    p.add_argument("--mask", help="write a selection mask (.txt or .pgm)")
+    p.add_argument("--stats", default=None, help="write per-image stats JSON here")
+    p.add_argument("--mask", default=None, help="write a selection mask (.txt or .pgm)")
 
-    p = sub.add_parser("synth", help="generate a synthetic token dump")
+    p = sub.add_parser("synth", help="generate a synthetic token dump",
+                       argument_default=argparse.SUPPRESS)
+    p.set_defaults(handler=_cmd_synth)
     p.add_argument("--grid", type=_parse_grid, required=True, help="HxW token grid")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--dk", type=int, required=True)
-    p.add_argument("--heads", type=int, default=1)
-    p.add_argument("--spikes", type=int, required=True)
-    p.add_argument("--gain", type=float, default=6.0)
-    p.add_argument("--clusters", type=int, default=1)
+    p.add_argument("--dk", dest="d_k", metavar="DK", type=int, required=True)
+    p.add_argument("--heads", dest="n_heads", metavar="HEADS", type=int)
+    p.add_argument("--spikes", dest="n_spikes", metavar="SPIKES", type=int, required=True)
+    p.add_argument("--gain", dest="spike_gain", metavar="GAIN", type=float)
+    p.add_argument("--clusters", dest="cluster_count", metavar="CLUSTERS", type=int)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("cost", help="prefill cost comparison")
+    p.set_defaults(handler=_cmd_cost)
     p.add_argument("--model", required=True,
                    help=f"{', '.join(_MODEL_PRESETS)}, or a profile JSON path")
     p.add_argument("--hw", default="v100",
@@ -120,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
 
     p = sub.add_parser("stats", help="corpus summary over stats JSON files")
+    p.set_defaults(handler=_cmd_stats)
     p.add_argument("--inputs", required=True, help="glob of per-image stats JSON files")
     return parser
 
@@ -134,19 +145,18 @@ def _dump_bytes(write, *args) -> bytes:
     return buf.getvalue()
 
 
-def _cmd_reduce(args) -> int:
-    rows, cols = args.grid or (None, None)
+def _from_flags(cls, args, **values):
+    """cls built from values and the parsed flags named after its
+    fields; a field that neither names keeps its default."""
+    given = vars(args) | values
     with _flag_values():
-        config = PipelineConfig(
-            mode="prumerge_plus" if args.mode == "prumerge+" else args.mode,
-            k=args.k,
-            floor=args.floor,
-            supplement_ratio=args.ratio,
-            budget=args.budget,
-            grid_rows=rows,
-            grid_cols=cols,
-            normalize_weights=not args.raw_weights,
-        )
+        return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given})
+
+
+def _cmd_reduce(args) -> int:
+    mode = "prumerge_plus" if args.mode == "prumerge+" else args.mode
+    config = _from_flags(PipelineConfig, args, mode=mode,
+                         **dict(zip(("grid_rows", "grid_cols"), args.grid or ())))
     named = {}
     for flag in ("--input", "--out", "--stats", "--mask"):
         path = getattr(args, flag[2:])
@@ -169,18 +179,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with _flag_values():
-        spec = SynthSpec(
-            grid=args.grid,
-            d=args.d,
-            d_k=args.dk,
-            n_heads=args.heads,
-            n_spikes=args.spikes,
-            spike_gain=args.gain,
-            cluster_count=args.clusters,
-            seed=args.seed,
-        )
-    write_outputs([(args.out, _dump_bytes(write_token_dump, synth_generate(spec)))])
+    tokens = synth_generate(_from_flags(SynthSpec, args))
+    write_outputs([(args.out, _dump_bytes(write_token_dump, tokens))])
     return 0
 
 
@@ -218,14 +218,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "reduce": _cmd_reduce,
-    "synth": _cmd_synth,
-    "cost": _cmd_cost,
-    "stats": _cmd_stats,
-}
-
-
 def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -233,7 +225,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

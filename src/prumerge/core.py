@@ -19,6 +19,11 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_finite(name, arr):
     # NaN propagates through min and max, and an infinity is one of them,
     # so no elementwise temporary is needed

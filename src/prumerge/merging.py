@@ -96,6 +96,8 @@ def token_supplement(
     if a.size != tokens.n:
         raise ValueError(f"attention has {a.size} entries, expected n={tokens.n}")
     centers = np.asarray(selection.indices)
+    if centers[-1] >= tokens.n:  # indices ascend, so the last is the largest
+        raise ValueError(f"index {centers[-1]} out of range for n={tokens.n}")
     if k == 1:
         # the center swap below would make every top-1 the center itself
         members = centers[:, None]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, class_attention
+from .core import TokenSet, _is_int, class_attention
 from .merging import ReducedTokenSet, token_supplement
 from .selection import (
     select_outliers,
@@ -35,10 +35,6 @@ __all__ = [
 
 
 _ADAPTIVE = ("prumerge", "prumerge_plus")  # k="auto" is ceil(n / m), else 1
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:

@@ -158,6 +158,8 @@ def uniform_spatial_supplement(
     """
     h, w = grid
     n = h * w
+    if base.indices[-1] >= n:  # indices ascend, so the last is the largest
+        raise ValueError(f"index {base.indices[-1]} out of range for n={n}")
     if ratio <= 0:
         raise ValueError("supplement ratio must be positive")
     ratio = min(ratio, 1.0)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet
+from .core import TokenSet, _is_int
 from .selection import SelectionResult
 
 __all__ = [
@@ -332,6 +332,12 @@ class SynthSpec:
 
     def __post_init__(self):
         h, w = self.grid
+        if not (_is_int(h) and _is_int(w)):
+            raise ValueError(f"grid must be two integers, got {self.grid!r}")
+        for name in ("d", "d_k", "n_heads", "n_spikes", "cluster_count", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(h, w, self.d, self.d_k, self.n_heads) < 1:
             raise ValueError("all dimensions must be >= 1")
         if not 0 <= self.n_spikes <= h * w:

@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import stat
@@ -11,7 +12,17 @@ from pathlib import Path
 import prumerge
 import pytest
 
-from prumerge import costmodel, read_reduced_dump
+from prumerge import (
+    PipelineConfig,
+    SynthSpec,
+    costmodel,
+    read_reduced_dump,
+    read_token_dump,
+    reduce_tokens,
+    synth_generate,
+    write_reduced_dump,
+    write_token_dump,
+)
 from prumerge.cli import cli_main
 
 
@@ -483,6 +494,48 @@ def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv):
     assert run(argv + target) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestDefaultsAreTheLibrarys:
+    """A flag left out takes the SynthSpec or PipelineConfig default."""
+
+    def test_synth(self, tmp_path):
+        out = tmp_path / "t.prmg"
+        assert run(["synth", "--grid", "6x8", "--d", "4", "--dk", "3", "--spikes", "5",
+                    "--seed", "11", "--out", str(out)]) == 0
+        spec = SynthSpec(grid=(6, 8), d=4, d_k=3, n_spikes=5, seed=11)
+        buf = io.BytesIO()
+        write_token_dump(synth_generate(spec), buf)
+        assert out.read_bytes() == buf.getvalue()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--mode", "prumerge"], PipelineConfig(mode="prumerge")),
+        (["--mode", "prumerge+"], PipelineConfig(mode="prumerge_plus")),
+        (["--mode", "sequential", "--budget", "40"],
+         PipelineConfig(mode="sequential", budget=40)),
+        (["--mode", "spatial", "--grid", "5x7"],
+         PipelineConfig(mode="spatial", grid_rows=5, grid_cols=7)),
+    ], ids=["prumerge", "prumerge+", "sequential", "spatial"])
+    def test_reduce(self, dump, tmp_path, flags, config):
+        out, stats = tmp_path / "r.prmr", tmp_path / "s.json"
+        assert run(["reduce", "--input", str(dump), *flags, "--out", str(out),
+                    "--stats", str(stats)]) == 0
+        result = reduce_tokens(read_token_dump(dump), config)
+        buf = io.BytesIO()
+        write_reduced_dump(result.tokens, result.source_indices, result.n, buf)
+        assert out.read_bytes() == buf.getvalue()
+        assert json.loads(stats.read_text()) == result.stats()
+
+
+@pytest.mark.parametrize("command, shown", [
+    ("reduce", ["--k K", "--floor FLOOR", "--ratio RATIO"]),
+    ("synth", ["--dk DK", "--heads HEADS", "--spikes SPIKES", "--gain GAIN",
+               "--clusters CLUSTERS"]),
+])
+def test_help_names_each_value_after_its_flag(capsys, command, shown):
+    assert run([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(flag in out for flag in shown), out
 
 
 class TestDeterminism:

@@ -113,6 +113,12 @@ class TestMergeCluster:
 
 
 class TestTokenSupplement:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_index_outside_the_tokens_is_rejected(self, k):
+        tokens = tokens_from(np.eye(6, 3), np.zeros((6, 2), np.float32))
+        with pytest.raises(ValueError, match="index 9 out of range for n=6"):
+            token_supplement(selection_of([1, 9]), tokens, uniform_attention(6), k)
+
     def test_k1_is_pure_pruning(self):
         rng = np.random.default_rng(5)
         keys = rng.normal(size=(9, 4))

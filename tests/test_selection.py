@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prumerge import (
+    SelectionResult,
     iqr_fences,
     quartiles,
     select_outliers,
@@ -138,6 +139,11 @@ class TestUniformSupplement:
         sel = uniform_spatial_supplement(base, (24, 24), 36 / 576)
         assert sel.m == 36  # index 50 = row 2, col 2 is already a grid point
         assert len(set(sel.indices)) == sel.m
+
+    def test_index_outside_the_grid_is_rejected(self):
+        base = SelectionResult((1, 9), None, "iqr")
+        with pytest.raises(ValueError, match="index 9 out of range for n=6"):
+            uniform_spatial_supplement(base, (2, 3), 0.5)
 
     def test_ratio_must_be_positive(self):
         with pytest.raises(ValueError, match="ratio"):

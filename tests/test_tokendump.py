@@ -463,6 +463,23 @@ class TestSynthGenerate:
         with pytest.raises(ValueError):
             SynthSpec(grid=(4, 4), d=2, d_k=2, n_spikes=17)
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid", (4.0, 4)), ("grid", (4, True)), ("d", 2.5), ("d_k", True),
+        ("n_heads", 1.0), ("n_spikes", True), ("cluster_count", 2.0), ("seed", 1.5),
+    ])
+    def test_integer_fields_reject_other_values(self, field, value):
+        fields = {"grid": (4, 4), "d": 2, "d_k": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SynthSpec(**fields)
+
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        spec = SynthSpec(grid=(i(4), i(4)), d=i(2), d_k=i(2), n_heads=i(2), n_spikes=i(3),
+                         cluster_count=i(2), seed=i(5))
+        plain = SynthSpec(grid=(4, 4), d=2, d_k=2, n_heads=2, n_spikes=3,
+                          cluster_count=2, seed=5)
+        assert synth_generate(spec).K.tobytes() == synth_generate(plain).K.tobytes()
+
     def test_largest_float32_gain_accepted(self):
         gain = float(np.finfo(np.float32).max)
         tokens = synth_generate(SynthSpec(grid=(2, 2), d=2, d_k=2, n_spikes=1, spike_gain=gain))
