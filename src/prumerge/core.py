@@ -7,6 +7,7 @@ reductions (softmax sums, dot products) accumulate at double precision.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,11 @@ __all__ = [
 def _is_int(value) -> bool:
     """An integer, numpy's included, that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number, numpy's included, that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_finite(name, arr):
@@ -102,18 +108,21 @@ def scaled_softmax(logits, scale_dim: int) -> np.ndarray:
 
     Subtracts each row's max before exponentiation; sums accumulate at
     double precision. Every row is nonnegative and sums to 1 within 1e-6.
+    Allocates one array the size of the logits, the result; the logits
+    are left unchanged.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim == 0 or logits.size == 0:
         raise ValueError("empty logits")
-    if not np.all(np.isfinite(logits)):
+    if not (np.isfinite(logits.min()) and np.isfinite(logits.max())):
         raise ValueError("non-finite logit")
     if scale_dim < 1:
         raise ValueError("scale_dim must be >= 1")
     z = logits / np.sqrt(float(scale_dim))
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def class_attention(tokens: TokenSet) -> np.ndarray:
@@ -154,10 +163,13 @@ def _similarity_windows(tokens: TokenSet, centers, width: int):
     similarities of the centers to tokens start..stop-1.
 
     The keys are cast to float64 a block of tokens at a time, into one
-    reused buffer of about ``_SIMILARITY_BLOCK_BYTES``, and each block is
-    multiplied against the centers' keys with one BLAS product, so the
-    float64 keys never exist all at once. A window holds whole key
-    blocks, so each block is cast once. BLAS may round equal dot products
+    reused buffer of at most ``_SIMILARITY_BLOCK_BYTES`` (or one token),
+    and each block is multiplied against the centers' keys with one BLAS
+    product, so the float64 keys never exist all at once. Each window is
+    cut into the fewest blocks the budget allows, all of one width but
+    the last, which is at most as wide: 576 ViT-L keys are cast as
+    3 x 192, not 256 + 256 + 64. A window holds whole key blocks, so
+    each block is cast once. BLAS may round equal dot products
     differently depending on where a column sits, so every token whose
     key equals an earlier token's key (over all heads, with -0.0 equal
     to 0.0) is given that earlier token's column, kept from the earlier
@@ -170,12 +182,9 @@ def _similarity_windows(tokens: TokenSet, centers, width: int):
     size = n_heads * d_k
     rows = tokens.K.transpose(1, 0, 2)[centers].reshape(centers.size, size)
     rows = rows.astype(np.float64)
-    block = max(1, min(n, _SIMILARITY_BLOCK_BYTES // (8 * size)))
-    span = n
-    if width < n:
-        # shrink the blocks so that whole blocks fill the window
-        block = width // -(-width // block)
-        span = width // block * block
+    span = min(width, n)
+    blocks = -(-span // max(1, _SIMILARITY_BLOCK_BYTES // (8 * size)))
+    block = -(-span // blocks)
     # any fixed probe gives equal keys equal fingerprints; sines of the
     # integers have no simple linear relations, so distinct keys rarely
     # share one. One coordinate per head is read; float32 probe values make

@@ -7,9 +7,13 @@ normalized within each cluster by default so the merged embedding keeps
 the scale of its members; an unnormalized mode is available for
 comparison. The clusters are ranked over windows of key columns, each
 window's top k merged into a running top k, then merged over blocks of
-centers, so the float64 keys, the similarity rows and the gathered
-member embeddings are each bounded by a fixed byte budget, not by n or
-m·n.
+centers, so the float64 keys and the similarity rows are each bounded
+by a fixed byte budget, not by n or m·n. The gathered member
+embeddings are bounded too: a center whose k members' embeddings
+exceed the merge budget is merged one slab of embedding columns at a
+time, and every column still sums its members in the same order, so
+the result does not depend on the slabs. A floor-fallback image (one
+center, k = n) thus never copies all of the embeddings.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ _SIMILARITY_WINDOW_BYTES = 8 << 20
 # least one row
 _PARTITION_BLOCK_BYTES = 64 << 10
 # float32 member embeddings gathered at once by the merge; a single
-# center whose k x d members exceed it is merged alone
+# center whose k x d members exceed it is merged in the fewest equal
+# slabs of columns that fit it, each at least two columns wide (einsum
+# sums a lone column in another order), the last moved left to end at d
 _MERGE_BLOCK_BYTES = 1 << 20
 
 
@@ -117,11 +123,18 @@ def token_supplement(
         refined = tokens.Y[centers]
     else:
         refined = np.empty((centers.size, tokens.d), dtype=tokens.Y.dtype)
-        step = max(1, _MERGE_BLOCK_BYTES // (tokens.Y.itemsize * k * tokens.d))
+        member_bytes = tokens.Y.itemsize * k
+        slabs = -(-tokens.d // max(2, _MERGE_BLOCK_BYTES // member_bytes))
+        width = -(-tokens.d // slabs)
+        step = max(1, _MERGE_BLOCK_BYTES // (member_bytes * width))
         for start in range(0, centers.size, step):
             block = slice(start, start + step)
-            refined[block] = np.einsum("mk,mkd->md", weights[block], tokens.Y[members[block]],
-                                       dtype=np.float64)
+            for c in range(0, tokens.d, width):
+                # the last slab ends at d, overlapping the one before it
+                cols = slice(min(c, tokens.d - width), c + width)
+                refined[block, cols] = np.einsum("mk,mkd->md", weights[block],
+                                                 tokens.Y[members[block], cols],
+                                                 dtype=np.float64)
     return ReducedTokenSet(refined, selection, members, weights, tokens.n)
 
 

@@ -12,12 +12,11 @@ gathering unless an explicit k turns merging on for ablation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, _is_int, class_attention
+from .core import TokenSet, _is_int, _is_real, class_attention
 from .merging import ReducedTokenSet, token_supplement
 from .selection import (
     select_outliers,
@@ -35,10 +34,6 @@ __all__ = [
 
 
 _ADAPTIVE = ("prumerge", "prumerge_plus")  # k="auto" is ceil(n / m), else 1
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

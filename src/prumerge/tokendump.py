@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, _is_int
+from .core import TokenSet, _is_int, _is_real
 from .selection import SelectionResult
 
 __all__ = [
@@ -148,11 +148,10 @@ def write_token_dump(tokens: TokenSet, destination) -> int:
     header = _HEADER.pack(
         MAGIC, VERSION, tokens.n, tokens.d, tokens.d_k, tokens.n_heads, h, w
     )
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        for arr in (tokens.q_cls, tokens.K, tokens.Y)
-    )
-    return _write_bytes(header + payload, destination)
+    # one copy: join reads each contiguous array's buffer in place
+    data = b"".join([header] + [np.ascontiguousarray(arr, dtype="<f4")
+                                for arr in (tokens.q_cls, tokens.K, tokens.Y)])
+    return _write_bytes(data, destination)
 
 
 @contextlib.contextmanager
@@ -282,7 +281,7 @@ def write_reduced_dump(tokens: np.ndarray, source_indices, n: int, destination) 
     idx = np.ascontiguousarray(source_indices, dtype="<u4")
     m, d = tokens.shape
     header = _REDUCED_HEADER.pack(REDUCED_MAGIC, VERSION, m, d, n)
-    return _write_bytes(header + idx.tobytes() + tokens.tobytes(), destination)
+    return _write_bytes(b"".join((header, idx, tokens)), destination)
 
 
 def _reduced_payload_size(fields) -> int:
@@ -344,6 +343,8 @@ class SynthSpec:
             raise ValueError("n_spikes must be in [0, n]")
         if self.cluster_count < 1:
             raise ValueError("cluster_count must be >= 1")
+        if not _is_real(self.spike_gain):
+            raise ValueError(f"spike_gain must be a real number, got {self.spike_gain!r}")
         # the spike logits gain +- noise are stored as float32 keys
         with np.errstate(over="ignore", invalid="ignore"):
             edges = np.float32([self.spike_gain - BACKGROUND_NOISE,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from prumerge import (
     reduce_tokens,
     scaled_softmax,
 )
+from prumerge.core import _SIMILARITY_BLOCK_BYTES
 from oracles import dot_table, softmax_direct
 
 finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False)
@@ -93,6 +96,23 @@ class TestScaledSoftmax:
         a = scaled_softmax(logits, 1)
         b = scaled_softmax(logits + shift, 1)
         assert np.abs(a - b).max() < 1e-9
+
+    def test_one_temporary_and_the_logits_left_unchanged(self):
+        # AnyRes class-attention logits: 16 heads over 2880 tokens; a new
+        # array per step held three such arrays at once
+        logits = np.random.default_rng(6).normal(scale=20.0, size=(16, 2880))
+        before = logits.copy()
+        tracemalloc.start()
+        try:
+            out = scaled_softmax(logits, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * logits.nbytes
+        assert logits.tobytes() == before.tobytes()
+        z = before / 8.0
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        assert out.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
 
 class TestClassAttention:
@@ -211,3 +231,25 @@ class TestTokenSetValidation:
         keys[0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             make_tokens(keys)
+
+
+@pytest.mark.parametrize("n, grid", [(576, (24, 24)), (2880, (120, 24))])
+def test_key_blocks_are_equal_and_within_the_budget(monkeypatch, n, grid):
+    # ViT-L keys (16 heads of d_k = 64) are cast in the fewest blocks the
+    # budget allows, of one width: 3 x 192 and 12 x 240, not 256 + 256 + 64
+    size = 16 * 64
+    tokens = TokenSet(grid=grid, q_cls=np.zeros((16, 64)),
+                      K=np.random.default_rng(n).normal(size=(16, n, 64)),
+                      Y=np.zeros((n, 1)))
+    widths = []
+    matmul = np.matmul
+
+    def recording_matmul(a, b, **kwargs):
+        widths.append(b.shape[1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    key_similarity(tokens, [0, n // 2, n - 1])
+    assert sum(widths) == n and max(widths) - min(widths) <= 1
+    assert len(widths) == -(-8 * size * n // _SIMILARITY_BLOCK_BYTES)  # as many BLAS calls as before
+    assert 8 * size * max(widths) <= _SIMILARITY_BLOCK_BYTES

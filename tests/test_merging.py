@@ -491,3 +491,63 @@ def test_row_blocked_kth_values_equal_a_whole_partition(monkeypatch, budget):
         kth = _kth_smallest(a, k)
         assert kth.shape == (37, 1)
         np.testing.assert_array_equal(kth[:, 0], np.partition(a, k - 1, axis=1)[:, k - 1])
+
+
+def test_floor_fallback_peak_is_bounded_by_the_block_budgets():
+    # a zero class query gives uniform attention, so no IQR outlier:
+    # one center merges all of its 2880 AnyRes tokens (k = n). Gathering
+    # every member embedding at once copied all of Y (11.8 MB); a key
+    # block of 240 tokens (1.97 MB) is now the largest array
+    n, grid = 2880, (120, 24)
+    rng = np.random.default_rng(4)
+    tokens = TokenSet(grid=grid, q_cls=np.zeros((16, 64)),
+                      K=rng.standard_normal((16, n, 64), dtype=np.float32),
+                      Y=rng.standard_normal((n, 1024), dtype=np.float32))
+    tracemalloc.start()
+    try:
+        result = reduce_tokens(tokens, PipelineConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.selection.method == "floor_fallback" and result.members.shape == (1, n)
+    assert peak < 2.5e6
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("columns", [1, 7, 32])
+def test_column_slab_merge_is_byte_identical_to_one_gather(monkeypatch, normalize, columns):
+    # k = n members per center and a budget of `columns` columns of
+    # them. Each slab's float64 sums must equal those columns of one
+    # gather's: a lone column is summed in another order (most of them
+    # differ here), so slabs are at least 2 columns wide, and the last
+    # one overlaps the one before it when d = 33 does not split evenly
+    n, d = 64, 33
+    rng = np.random.default_rng(columns)
+    tokens = TokenSet(grid=(8, 8), q_cls=np.ones((2, 4)),
+                      K=rng.normal(size=(2, n, 4)), Y=rng.normal(size=(n, d)))
+    a = rng.exponential(size=n)
+    selection = selection_of([0, 17, 63])
+    whole = token_supplement(selection, tokens, a, n, normalize=normalize)
+    sums = []
+    einsum = np.einsum
+
+    def recording_einsum(subscripts, *operands, **kwargs):
+        out = einsum(subscripts, *operands, **kwargs)
+        if subscripts == "mk,mkd->md":
+            sums.append(out)
+        return out
+
+    monkeypatch.setattr(prumerge.merging, "_MERGE_BLOCK_BYTES", 4 * n * columns)
+    monkeypatch.setattr(np, "einsum", recording_einsum)
+    slabs = token_supplement(selection, tokens, a, n, normalize=normalize)
+    monkeypatch.undo()
+    assert whole.tokens.tobytes() == slabs.tokens.tobytes()
+    assert whole.weights.tobytes() == slabs.weights.tobytes()
+    one_gather = np.einsum("mk,mkd->md", whole.weights, tokens.Y[whole.members],
+                           dtype=np.float64)
+    width, per_center = sums[0].shape[1], len(sums) // selection.m
+    assert 2 <= width <= max(2, columns) and len(sums) == selection.m * -(-d // width)
+    for i, out in enumerate(sums):
+        row, slab = divmod(i, per_center)
+        c = min(slab * width, d - width)
+        assert out.tobytes() == one_gather[row:row + 1, c:c + width].tobytes()

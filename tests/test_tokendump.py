@@ -295,7 +295,38 @@ except OSError as exc:
 """
 
 
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPathWrites:
+    def test_token_dump_is_copied_once(self, tmp_path):
+        # AnyRes shape: 23.6 MB of payload; copying each array, joining
+        # the copies and prepending the header held it twice over
+        n, d, d_k, n_heads = 2880, 1024, 64, 16
+        tokens = TokenSet(grid=(120, 24), q_cls=np.ones((n_heads, d_k)),
+                          K=np.arange(n_heads * n * d_k).reshape(n_heads, n, d_k),
+                          Y=-np.arange(n * d).reshape(n, d))
+        payload = 4 * (n_heads * d_k + n_heads * n * d_k + n * d)
+        path = tmp_path / "t.prmg"
+        assert traced_peak(write_token_dump, tokens, path) < 1.25 * payload
+        header = struct.pack("<4sIIIIIII", b"PRMG", 1, n, d, d_k, n_heads, 120, 24)
+        assert path.read_bytes() == b"".join(
+            [header, tokens.q_cls.tobytes(), tokens.K.tobytes(), tokens.Y.tobytes()])
+
+    def test_reduced_dump_is_copied_once(self, tmp_path):
+        tokens = np.random.default_rng(2).normal(size=(576, 1024)).astype(np.float32)
+        path = tmp_path / "t.prmr"
+        peak = traced_peak(write_reduced_dump, tokens, np.arange(576), 2880, path)
+        assert peak < 1.25 * (4 * 576 + tokens.nbytes)
+        back, idx, n = read_reduced_dump(path)
+        assert back.tobytes() == tokens.tobytes() and idx.tolist() == list(range(576))
+
     def test_write_failing_midway_keeps_previous_file(self, tmp_path):
         pytest.importorskip("resource")
         if not hasattr(signal, "SIGXFSZ"):
@@ -479,6 +510,11 @@ class TestSynthGenerate:
         plain = SynthSpec(grid=(4, 4), d=2, d_k=2, n_heads=2, n_spikes=3,
                           cluster_count=2, seed=5)
         assert synth_generate(spec).K.tobytes() == synth_generate(plain).K.tobytes()
+
+    @pytest.mark.parametrize("gain", [True, "6", None])
+    def test_spike_gain_rejects_bool_and_non_real(self, gain):
+        with pytest.raises(ValueError, match="spike_gain must be a real number"):
+            SynthSpec(grid=(4, 4), d=2, d_k=2, n_spikes=1, spike_gain=gain)
 
     def test_largest_float32_gain_accepted(self):
         gain = float(np.finfo(np.float32).max)
