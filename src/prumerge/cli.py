@@ -24,17 +24,10 @@ from .costmodel import (
     load_model_profile,
     model_preset,
 )
-from .pipeline import PipelineConfig, corpus_stats, reduce_tokens
-from .tokendump import (
-    SynthSpec,
-    TokenDumpError,
-    read_token_dump,
-    render_mask,
-    synth_generate,
-    write_outputs,
-    write_reduced_dump,
-    write_token_dump,
-)
+from .fileio import TokenDumpError, write_outputs
+
+# pipeline and tokendump import numpy, so only the commands that use
+# them import them: cost, --help and usage errors start without numpy
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -154,6 +147,9 @@ def _from_flags(cls, args, **values):
 
 
 def _cmd_reduce(args) -> int:
+    from .pipeline import PipelineConfig, reduce_tokens
+    from .tokendump import read_token_dump, render_mask, write_reduced_dump
+
     mode = "prumerge_plus" if args.mode == "prumerge+" else args.mode
     config = _from_flags(PipelineConfig, args, mode=mode,
                          **dict(zip(("grid_rows", "grid_cols"), args.grid or ())))
@@ -179,6 +175,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .tokendump import SynthSpec, synth_generate, write_token_dump
+
     tokens = synth_generate(_from_flags(SynthSpec, args))
     write_outputs([(args.out, _dump_bytes(write_token_dump, tokens))])
     return 0
@@ -206,6 +204,8 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .pipeline import corpus_stats
+
     paths = sorted(glob.glob(args.inputs))
     if not paths:
         raise TokenDumpError(f"no files match {args.inputs!r}")

@@ -63,6 +63,8 @@ class TokenSet:
         object.__setattr__(self, "K", np.asarray(self.K, dtype=np.float32))
         object.__setattr__(self, "Y", np.asarray(self.Y, dtype=np.float32))
         h, w = self.grid
+        if not (_is_int(h) and _is_int(w)):
+            raise ValueError(f"grid must be two integers, got {self.grid!r}")
         if self.q_cls.ndim != 2:
             raise ValueError("q_cls must be 2-d (n_heads, d_k)")
         if self.K.ndim != 3:
@@ -183,8 +185,7 @@ def _similarity_windows(tokens: TokenSet, centers, width: int):
     rows = tokens.K.transpose(1, 0, 2)[centers].reshape(centers.size, size)
     rows = rows.astype(np.float64)
     span = min(width, n)
-    blocks = -(-span // max(1, _SIMILARITY_BLOCK_BYTES // (8 * size)))
-    block = -(-span // blocks)
+    block = _key_block(span, size)
     # any fixed probe gives equal keys equal fingerprints; sines of the
     # integers have no simple linear relations, so distinct keys rarely
     # share one. One coordinate per head is read; float32 probe values make
@@ -210,6 +211,14 @@ def _similarity_windows(tokens: TokenSet, centers, width: int):
         lo, hi = np.searchsorted(dup, (start, stop))
         window[:, dup[lo:hi] - start] = kept[:, slot[lo:hi]]
         yield start, window
+
+
+def _key_block(span: int, size: int) -> int:
+    """Tokens per key block when ``span`` keys of ``size`` coordinates are
+    cast in the fewest blocks of one width that fit
+    ``_SIMILARITY_BLOCK_BYTES`` (the last block may be narrower)."""
+    blocks = -(-span // max(1, _SIMILARITY_BLOCK_BYTES // (8 * size)))
+    return -(-span // blocks)
 
 
 def _equal_key_columns(K, fingerprint):

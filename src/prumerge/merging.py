@@ -5,10 +5,13 @@ included) form a cluster, and the center is replaced by the class-
 attention-weighted average of the cluster's embeddings. Weights are
 normalized within each cluster by default so the merged embedding keeps
 the scale of its members; an unnormalized mode is available for
-comparison. The clusters are ranked over windows of key columns, each
-window's top k merged into a running top k, then merged over blocks of
-centers, so the float64 keys and the similarity rows are each bounded
-by a fixed byte budget, not by n or m·n. The gathered member
+comparison. The similarity rows are computed over windows of key
+columns; each window only selects every row's candidates, the entries
+at or above that window's k-th largest value, and one stable sort
+ranks the candidates at the end. The clusters are then merged over
+blocks of centers. The float64 keys and the similarity rows are each
+bounded by a fixed byte budget or by the centers' own keys, and the
+candidates by O(m·k), not by n or m·n. The gathered member
 embeddings are bounded too: a center whose k members' embeddings
 exceed the merge budget is merged one slab of embedding columns at a
 time, and every column still sums its members in the same order, so
@@ -22,14 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, _similarity_windows, key_similarity
+from .core import TokenSet, _key_block, _similarity_windows, key_similarity
 from .selection import SelectionResult, attention_values
 
 __all__ = ["ReducedTokenSet", "token_supplement"]
 
-# float64 similarity rows computed and ranked at once; at least one
-# column
-_SIMILARITY_WINDOW_BYTES = 8 << 20
+# float64 similarity rows computed at once (see _window_width)
+_SIMILARITY_WINDOW_BYTES = 512 << 10
+# candidates a row holds between windows, in multiples of k, before
+# they are folded back to its top k
+_CANDIDATES_PER_K = 5
 # float64 rows partitioned at once to find each row's k-th value; at
 # least one row
 _PARTITION_BLOCK_BYTES = 64 << 10
@@ -142,30 +147,80 @@ def _nearest(tokens, centers, k):
     """Each center's k most key-similar tokens, as ``_top_k`` ranks them
     over its whole similarity row.
 
-    The rows are computed and ranked one window of key columns at a time,
-    about ``_SIMILARITY_WINDOW_BYTES`` each, and each window's top k is
-    merged into a running top k by a stable sort. The running entries come
-    first and hold lower columns, so ties still go to the lower index.
-    Rows that fit one window come from ``key_similarity`` itself.
+    Rows that fit one window (ViT-L shapes) come from ``key_similarity``
+    and are ranked at once. Larger rows are computed one window of
+    ``_window_width`` key columns at a time, and a window only selects:
+    each row's entries at or above that window's k-th largest value are
+    scattered, in column order, behind the row's earlier candidates. An
+    entry below it has k larger ones in the window, so it cannot be in
+    the row's top k. When the candidates would outgrow
+    ``_CANDIDATES_PER_K`` x k per row, they are folded back to each row's
+    top k; one ``_top_k`` ranks them at the end. Equal values stay in
+    column order, so ties still go to the lower index.
     """
-    width = max(1, _SIMILARITY_WINDOW_BYTES // (8 * centers.size))
+    width = _window_width(tokens, centers.size)
+    if width == tokens.n:
+        return _top_k(key_similarity(tokens, centers), k)
+    m = centers.size
+    values = np.full((m, _CANDIDATES_PER_K * k), -np.inf)
+    columns = np.empty(values.shape, dtype=np.intp)
+    fill = np.zeros(m, dtype=np.intp)
+    for start, rows in _similarity_windows(tokens, centers, width):
+        w = rows.shape[1]
+        hit = np.flatnonzero(rows >= _kth_smallest(rows, max(1, w - k + 1)))
+        counts = np.bincount(hit // w, minlength=m)
+        if (fill + counts).max() > values.shape[1]:
+            fill = _fold(values, columns, fill, k)
+            extra = (fill + counts).max() - values.shape[1]
+            if extra > 0:  # more ties at a window's k-th value than free slots
+                values = np.pad(values, ((0, 0), (0, extra)), constant_values=-np.inf)
+                columns = np.pad(columns, ((0, 0), (0, extra)))
+        _scatter(rows, hit, counts, values, columns, fill, start)
+        fill += counts
+    return np.take_along_axis(columns, _top_k(values, k), axis=1)
+
+
+def _window_width(tokens, m):
+    """Key columns per similarity window of m centers: as many whole key
+    blocks as ``_SIMILARITY_WINDOW_BYTES`` of rows holds (3 x 240 keys at
+    AnyRes shape), or n when that covers every key. A window is never
+    narrower than one key block or a key's coordinates, whichever is
+    fewer: each BLAS call reads all of the centers' keys, so narrower
+    windows cost more calls than the rows they save, and those rows
+    would be no larger than the centers' float64 keys already are."""
+    size = tokens.n_heads * tokens.d_k
+    block = _key_block(tokens.n, size)
+    width = max(_SIMILARITY_WINDOW_BYTES // (8 * m), min(block, size))
     if width >= tokens.n:
-        windows = [(0, key_similarity(tokens, centers))]
-    else:
-        windows = _similarity_windows(tokens, centers, width)
-    best = columns = None
-    for start, rows in windows:
-        top = _top_k(rows, min(k, rows.shape[1]))
-        negated = np.take_along_axis(rows, top, axis=1)  # _top_k negated rows
-        top += start
-        if best is not None:
-            negated = np.concatenate((best, negated), axis=1)
-            top = np.concatenate((columns, top), axis=1)
-            order = np.argsort(negated, axis=1, kind="stable")[:, :k]
-            negated = np.take_along_axis(negated, order, axis=1)
-            top = np.take_along_axis(top, order, axis=1)
-        best, columns = negated, top
-    return columns
+        return tokens.n
+    return width - width % block if width >= block else width
+
+
+def _fold(values, columns, fill, k):
+    """Keep each row's top k candidates at the front of the buffers, in
+    rank order, so equal values stay in column order, and return the new
+    fill. Free slots hold -inf."""
+    keep = _top_k(values, k)  # negates values
+    kept = np.negative(np.take_along_axis(values, keep, axis=1))
+    columns[:, :k] = np.take_along_axis(columns, keep, axis=1)
+    values[:, :k] = kept
+    values[:, k:] = -np.inf
+    return np.minimum(fill, k)
+
+
+def _scatter(source, hit, counts, values, columns, fill, start):
+    """Copy the entries of source at the row-major flat indices hit, each
+    row's counts[r] of them, into values behind that row's first fill[r],
+    in order, and their column indices plus start into columns."""
+    m, w = source.shape
+    cap = values.shape[1]
+    starts = np.cumsum(counts) - counts
+    slots = np.repeat(np.arange(0, m * cap, cap) + fill - starts, counts)
+    slots += np.arange(hit.size)
+    values.ravel()[slots] = source.ravel()[hit]
+    column = np.remainder(hit, w)
+    column += start
+    columns.ravel()[slots] = column
 
 
 def _top_k(similarity, k):
@@ -174,15 +229,18 @@ def _top_k(similarity, k):
 
     Overwrites similarity with its negation. ``_kth_smallest`` finds
     each row's k-th value, and only the entries at least that large (the
-    top k plus any ties at the boundary) are sorted.
+    top k plus any ties at the boundary) are copied, in column order,
+    into rows padded with +inf, which one stable sort ranks row by row.
     """
     negated = np.negative(similarity, out=similarity)
-    kth = _kth_smallest(negated, k)
-    rows, cols = np.nonzero(negated <= kth)  # row-major: cols ascend within a row
-    order = np.lexsort((negated[rows, cols], rows))
-    counts = np.bincount(rows, minlength=negated.shape[0])
-    starts = np.cumsum(counts) - counts
-    return cols[order[starts[:, None] + np.arange(k)]]
+    m, w = negated.shape
+    hit = np.flatnonzero(negated <= _kth_smallest(negated, k))  # row-major
+    counts = np.bincount(hit // w, minlength=m)
+    values = np.full((m, counts.max()), np.inf)
+    columns = np.empty(values.shape, dtype=np.intp)
+    _scatter(negated, hit, counts, values, columns, 0, 0)
+    order = np.argsort(values, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(columns, order, axis=1)
 
 
 def _kth_smallest(a, k):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _is_int
+
 
 def attention_values(attention) -> np.ndarray:
     """Class attention as a float64 array: any nonempty, finite,
@@ -69,7 +71,11 @@ class SelectionResult:
     method: str  # iqr | iqr_plus_uniform | sequential | spatial | floor_fallback
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(self.indices)
+        if not all(map(_is_int, idx)):
+            bad = next(i for i in idx if not _is_int(i))
+            raise ValueError(f"indices must be integers, got {bad!r}")
+        idx = tuple(int(i) for i in idx)
         object.__setattr__(self, "indices", idx)
         if len(idx) < 1:
             raise ValueError("selection must contain at least one index")

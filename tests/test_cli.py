@@ -427,7 +427,7 @@ def test_allocation_failure_is_data_error(tmp_path, capsys, monkeypatch):
     def out_of_memory(spec):
         raise MemoryError("Unable to allocate 745. GiB for an array")
 
-    monkeypatch.setattr("prumerge.cli.synth_generate", out_of_memory)
+    monkeypatch.setattr("prumerge.tokendump.synth_generate", out_of_memory)
     out = tmp_path / "x.prmg"
     code = run(["synth", "--grid", "2x2", "--d", "1", "--dk", "1", "--spikes", "0",
                 "--clusters", "4", "--seed", "0", "--out", str(out)])
@@ -556,6 +556,13 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+def child_env():
+    """The environment for a child interpreter that imports this prumerge."""
+    src = str(Path(prumerge.__file__).parents[1])
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestEntryPoint:
     @pytest.mark.parametrize("args, code", [
         (["--help"], 0),
@@ -563,17 +570,40 @@ class TestEntryPoint:
         (["reduce", "--input", "missing.prmg", "--mode", "prumerge", "--out", "r.prmr"], 2),
     ], ids=["help", "bad-flag", "missing-input"])
     def test_module_exits_with_the_documented_code(self, tmp_path, args, code):
-        src = str(Path(prumerge.__file__).parents[1])
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         child = subprocess.run([sys.executable, "-m", "prumerge.cli"] + args, cwd=tmp_path,
-                               capture_output=True, text=True, env=env, timeout=120)
+                               capture_output=True, text=True, env=child_env(), timeout=120)
         assert child.returncode == code, child.stderr
         if code == 0:
             assert child.stdout.startswith("usage: prumerge")
         else:
             assert "error:" in child.stderr
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, code", [
+        (["cost", "--model", "7b", "--tokens-full", "576", "--tokens-reduced", "32",
+          "--report", "r.json"], 0),
+        (["--help"], 0),
+        (["cost", "--model", "7b"], 1),
+    ], ids=["cost", "help", "usage-error"])
+    def test_commands_without_arrays_leave_numpy_unimported(self, tmp_path, args, code):
+        script = ("import sys\n"
+                  "from prumerge.cli import cli_main\n"
+                  "code = cli_main(sys.argv[1:])\n"
+                  "print(code, 'numpy' in sys.modules, file=sys.stderr)\n")
+        child = subprocess.run([sys.executable, "-c", script] + args, cwd=tmp_path,
+                               capture_output=True, text=True, env=child_env(), timeout=120)
+        assert child.stderr.splitlines()[-1] == f"{code} False", child.stderr
+
+    def test_package_exports_follow_their_modules(self, monkeypatch):
+        # a tracer rebinds names on their modules and puts them back, so
+        # the package must return the module's current object, not a copy
+        # of one it returned before
+        assert prumerge.reduce_tokens is prumerge.pipeline.reduce_tokens
+        monkeypatch.setattr(prumerge.pipeline, "reduce_tokens", run)
+        assert prumerge.reduce_tokens is run
+        monkeypatch.undo()
+        assert prumerge.reduce_tokens is prumerge.pipeline.reduce_tokens
+        assert "reduce_tokens" not in vars(prumerge)
 
     def test_console_script_names_main(self):
         tomllib = pytest.importorskip("tomllib")

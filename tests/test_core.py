@@ -232,6 +232,15 @@ class TestTokenSetValidation:
         with pytest.raises(ValueError, match="non-finite"):
             make_tokens(keys)
 
+    @pytest.mark.parametrize("grid", [(True, 4), (2.0, 2.0), (1, "4"), (np.float64(2), 2)])
+    def test_grid_rejects_bool_and_non_integers(self, grid):
+        with pytest.raises(ValueError, match="grid must be two integers"):
+            make_tokens(np.ones((4, 2)), grid=grid)
+
+    def test_grid_accepts_numpy_integers(self):
+        tokens = make_tokens(np.ones((4, 2)), grid=(np.int64(2), np.uint8(2)))
+        assert tokens.n == 4
+
 
 @pytest.mark.parametrize("n, grid", [(576, (24, 24)), (2880, (120, 24))])
 def test_key_blocks_are_equal_and_within_the_budget(monkeypatch, n, grid):

@@ -12,14 +12,26 @@ from prumerge import (
     SynthSpec,
     TokenSet,
     class_attention,
+    key_similarity,
     reduce_tokens,
     select_outliers,
     synth_generate,
     token_supplement,
     uniform_spatial_supplement,
 )
-from prumerge.core import _SIMILARITY_BLOCK_BYTES, _equal_key_columns, _similarity_windows
-from prumerge.merging import _MERGE_BLOCK_BYTES, _SIMILARITY_WINDOW_BYTES, _kth_smallest
+from prumerge.core import (
+    _SIMILARITY_BLOCK_BYTES,
+    _equal_key_columns,
+    _key_block,
+    _similarity_windows,
+)
+from prumerge.merging import (
+    _MERGE_BLOCK_BYTES,
+    _SIMILARITY_WINDOW_BYTES,
+    _kth_smallest,
+    _nearest,
+    _top_k,
+)
 from prumerge.selection import SelectionResult
 from prumerge.tokendump import demo_corpus_specs
 from oracles import merge_oracle
@@ -479,6 +491,83 @@ def test_small_windows_match_the_oracle_and_one_window(seed, n_heads, pool_size,
         assert [tuple(row) for row in windowed.members.tolist()] == member_lists, k
         assert windowed.members.tobytes() == whole.members.tobytes()
         assert windowed.tokens.tobytes() == whole.tokens.tobytes()
+
+
+@given(st.integers(0, 10**6), st.sampled_from([1, 4, 16]), st.integers(1, 3),
+       st.integers(1, 24), st.sampled_from(["column", "block", "blocks"]),
+       st.integers(1, 5), st.booleans())
+@example(seed=0, n_heads=1, pool_size=1, n=24, windows="blocks", tokens_per_block=4,
+         every_token=False)
+@example(seed=1, n_heads=4, pool_size=2, n=24, windows="column", tokens_per_block=1,
+         every_token=True)
+@settings(max_examples=60, deadline=None)
+def test_windowed_ranking_equals_one_top_k(seed, n_heads, pool_size, n, windows,
+                                           tokens_per_block, every_token):
+    # windows of one column, one key block or a few blocks split duplicate
+    # keys from their leaders and make k (up to n, the floor fallback)
+    # wider than a window; one pooled key makes every entry of a window a
+    # candidate, so the buffer folds and grows (the first example)
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(pool_size, n_heads * 4)).astype(np.float32)
+    flat = pool[rng.integers(0, pool_size, size=n)]
+    tokens = TokenSet(grid=(1, n), q_cls=np.ones((n_heads, 4)),
+                      K=flat.reshape(n, n_heads, 4).transpose(1, 0, 2), Y=np.zeros((n, 1)))
+    if every_token:
+        centers = np.arange(n)
+    else:
+        centers = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    if windows == "column":
+        tokens_per_block = 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prumerge.core, "_SIMILARITY_BLOCK_BYTES", 8 * n_heads * 4 * tokens_per_block)
+        block = _key_block(n, n_heads * 4)
+        width = {"column": 1, "block": block, "blocks": block * int(rng.integers(2, 4))}[windows]
+        whole = [_top_k(key_similarity(tokens, centers), k) for k in range(1, n + 1)]
+        mp.setattr(prumerge.merging, "_SIMILARITY_WINDOW_BYTES", 8 * centers.size * width)
+        for k in range(1, n + 1):
+            assert _nearest(tokens, centers, k).tobytes() == whole[k - 1].tobytes(), k
+
+
+@pytest.mark.parametrize("m, window", [(82, 720), (400, 240)])
+def test_windows_hold_whole_key_blocks(monkeypatch, m, window):
+    # AnyRes keys (n = 2880, 16 heads of d_k = 64) are cast as 12 x 240.
+    # 82 centers rank in windows of three whole blocks; the budget holds
+    # 163 columns of 400 centers, but they rank in windows of one block,
+    # since every narrower window would cost one more BLAS call over all
+    # of the centers' keys
+    n = 2880
+    rng = np.random.default_rng(m)
+    tokens = TokenSet(grid=(120, 24), q_cls=np.zeros((16, 64)),
+                      K=rng.standard_normal((16, n, 64), dtype=np.float32), Y=np.zeros((n, 1)))
+    widths = []
+    windows = prumerge.merging._similarity_windows
+
+    def recording_windows(*args):
+        for start, rows in windows(*args):
+            widths.append(rows.shape[1])
+            yield start, rows
+
+    monkeypatch.setattr(prumerge.merging, "_similarity_windows", recording_windows)
+    _nearest(tokens, np.arange(m), 2)
+    assert widths == [window] * (n // window)
+
+
+def test_anyres_ranking_holds_no_similarity_rows():
+    # 5-tile AnyRes shapes under prumerge+ (m = 82, k = 36): the whole
+    # (m, n) float64 rows (1.9 MB) break the bound; one key block, the
+    # centers' float64 keys, one window and O(m k) candidates must not
+    tokens = synth_generate(SynthSpec(grid=(120, 24), d=1024, d_k=64, n_heads=16,
+                                      n_spikes=32, seed=1))
+    tracemalloc.start()
+    try:
+        result = reduce_tokens(tokens, PipelineConfig(mode="prumerge_plus"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (m, k), width = result.members.shape, tokens.n_heads * tokens.d_k
+    assert 8 * m * tokens.n > 3 * _SIMILARITY_WINDOW_BYTES
+    assert peak < (_SIMILARITY_BLOCK_BYTES + 8 * m * width + _SIMILARITY_WINDOW_BYTES
+                   + 128 * m * k)
 
 
 @pytest.mark.parametrize("budget", [1, 8 * 11 * 2, 8 * 11 * 5, 8 * 11 * 37, 1 << 20])

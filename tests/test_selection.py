@@ -203,3 +203,16 @@ class TestBaselines:
     def test_spatial_out_of_range(self):
         with pytest.raises(ValueError):
             spatial_grid_baseline((4, 4), 5, 2)
+
+
+class TestSelectionResult:
+    @pytest.mark.parametrize("indices", [(0.5, 1.7), (np.float64(3.9),), (True, 4), (0, "2"),
+                                         (np.bool_(True),)])
+    def test_rejects_bool_and_non_integer_indices(self, indices):
+        # int() would truncate these, so a 0.9 would silently select token 0
+        with pytest.raises(ValueError, match="indices must be integers"):
+            SelectionResult(indices, None, "iqr")
+
+    def test_accepts_numpy_integers(self):
+        sel = SelectionResult(np.array([2, 5], dtype=np.uint32), None, "iqr")
+        assert sel.indices == (2, 5) and all(type(i) is int for i in sel.indices)
