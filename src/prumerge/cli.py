@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw-weights", dest="normalize_weights", action="store_false")
     p.add_argument("--out", required=True)
     p.add_argument("--stats", default=None, help="write per-image stats JSON here")
-    p.add_argument("--mask", default=None, help="write a selection mask (.txt or .pgm)")
+    p.add_argument("--mask", default=None, help="write a selection mask (PGM for a .pgm suffix in any case, else text)")
 
     p = sub.add_parser("synth", help="generate a synthetic token dump",
                        argument_default=argparse.SUPPRESS)
@@ -167,7 +167,7 @@ def _cmd_reduce(args) -> int:
     if args.stats:
         outputs.append((args.stats, _json_bytes(result.stats())))
     if args.mask:
-        fmt = "pgm" if args.mask.endswith(".pgm") else "text"
+        fmt = "pgm" if args.mask.lower().endswith(".pgm") else "text"
         rendering = render_mask(result.selection, tokens.grid, fmt)
         outputs.append((args.mask, rendering if fmt == "pgm" else (rendering + "\n").encode()))
     write_outputs(outputs)

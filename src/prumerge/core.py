@@ -30,6 +30,14 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _as_int(name, value) -> int:
+    """value as a Python int, so numpy's narrow integers cannot overflow
+    later; a ValueError unless ``_is_int(value)``."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_finite(name, arr):
     # NaN propagates through min and max, and an infinity is one of them,
     # so no elementwise temporary is needed

@@ -6,12 +6,13 @@ attention-weighted average of the cluster's embeddings. Weights are
 normalized within each cluster by default so the merged embedding keeps
 the scale of its members; an unnormalized mode is available for
 comparison. The similarity rows are computed over windows of key
-columns; each window only selects every row's candidates, the entries
-at or above that window's k-th largest value, and one stable sort
-ranks the candidates at the end. The clusters are then merged over
-blocks of centers. The float64 keys and the similarity rows are each
-bounded by a fixed byte budget or by the centers' own keys, and the
-candidates by O(m·k), not by n or m·n. The gathered member
+columns (one window at ViT-L shapes), and each row keeps a running top
+k: a window's candidates, the entries at or above that window's k-th
+largest value, go behind the row's top k so far, and one stable sort
+keeps the first k. The clusters are then merged over blocks of
+centers. The float64 keys and the similarity rows are each bounded by
+a fixed byte budget or by the centers' own keys, and the running top k
+and the candidates by O(m·k), not by n or m·n. The gathered member
 embeddings are bounded too: a center whose k members' embeddings
 exceed the merge budget is merged one slab of embedding columns at a
 time, and every column still sums its members in the same order, so
@@ -25,16 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, _key_block, _similarity_windows, key_similarity
+from .core import TokenSet, _as_int, _key_block, _similarity_windows, key_similarity
 from .selection import SelectionResult, attention_values
 
 __all__ = ["ReducedTokenSet", "token_supplement"]
 
 # float64 similarity rows computed at once (see _window_width)
 _SIMILARITY_WINDOW_BYTES = 512 << 10
-# candidates a row holds between windows, in multiples of k, before
-# they are folded back to its top k
-_CANDIDATES_PER_K = 5
 # float64 rows partitioned at once to find each row's k-th value; at
 # least one row
 _PARTITION_BLOCK_BYTES = 64 << 10
@@ -101,6 +99,7 @@ def token_supplement(
     exactly the original embeddings at the selected indices (pure
     pruning).
     """
+    k = _as_int("k", k)
     if not 1 <= k <= tokens.n:
         raise ValueError(f"k must be in [1, {tokens.n}]")
     a = attention_values(attention)
@@ -144,40 +143,49 @@ def token_supplement(
 
 
 def _nearest(tokens, centers, k):
-    """Each center's k most key-similar tokens, as ``_top_k`` ranks them
-    over its whole similarity row.
+    """Each center's k most key-similar tokens, largest first, ties by
+    lower index: the first k columns of a stable descending sort of its
+    similarity row, kept as one running top k over windows of the row.
 
-    Rows that fit one window (ViT-L shapes) come from ``key_similarity``
-    and are ranked at once. Larger rows are computed one window of
-    ``_window_width`` key columns at a time, and a window only selects:
-    each row's entries at or above that window's k-th largest value are
-    scattered, in column order, behind the row's earlier candidates. An
-    entry below it has k larger ones in the window, so it cannot be in
-    the row's top k. When the candidates would outgrow
-    ``_CANDIDATES_PER_K`` x k per row, they are folded back to each row's
-    top k; one ``_top_k`` ranks them at the end. Equal values stay in
-    column order, so ties still go to the lower index.
+    The rows come one window of ``_window_width`` key columns at a time.
+    Each window is negated in place, and only its entries at or above
+    that window's k-th largest value are candidates: an entry below it
+    has k larger ones in the window, so it cannot be in the row's top k.
+    The candidates are copied, in column order, into rows padded with
+    +inf behind the running top k, and one stable sort keeps each row's
+    first k. The running entries come first and have lower columns, so
+    ties still go to the lower index.
     """
-    width = _window_width(tokens, centers.size)
-    if width == tokens.n:
-        return _top_k(key_similarity(tokens, centers), k)
     m = centers.size
-    values = np.full((m, _CANDIDATES_PER_K * k), -np.inf)
-    columns = np.empty(values.shape, dtype=np.intp)
-    fill = np.zeros(m, dtype=np.intp)
-    for start, rows in _similarity_windows(tokens, centers, width):
+    width = _window_width(tokens, m)
+    if width == tokens.n:
+        # the one window's rows, from the function perfbench traces: at
+        # ViT-L shapes it is the ranking's only span
+        windows = ((0, key_similarity(tokens, centers)),)
+    else:
+        windows = _similarity_windows(tokens, centers, width)
+    values = np.empty((m, 0))
+    columns = np.empty((m, 0), dtype=np.intp)
+    for start, rows in windows:
+        negated = np.negative(rows, out=rows)
         w = rows.shape[1]
-        hit = np.flatnonzero(rows >= _kth_smallest(rows, max(1, w - k + 1)))
-        counts = np.bincount(hit // w, minlength=m)
-        if (fill + counts).max() > values.shape[1]:
-            fill = _fold(values, columns, fill, k)
-            extra = (fill + counts).max() - values.shape[1]
-            if extra > 0:  # more ties at a window's k-th value than free slots
-                values = np.pad(values, ((0, 0), (0, extra)), constant_values=-np.inf)
-                columns = np.pad(columns, ((0, 0), (0, extra)))
-        _scatter(rows, hit, counts, values, columns, fill, start)
-        fill += counts
-    return np.take_along_axis(columns, _top_k(values, k), axis=1)
+        hit = np.flatnonzero(negated <= _kth_smallest(negated, min(k, w)))  # row-major
+        row, column = np.divmod(hit, w)
+        counts = np.bincount(row, minlength=m)
+        kept = values.shape[1]
+        span = kept + counts.max()
+        # flat positions in joined: each row's candidates behind its running top k
+        slot = np.arange(kept, kept + hit.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        slot += row * span
+        joined = np.full((m, span), np.inf)
+        at = np.empty(joined.shape, dtype=np.intp)  # a +inf pad ranks last, never returned
+        joined[:, :kept], at[:, :kept] = values, columns
+        joined.ravel()[slot], at.ravel()[slot] = negated.ravel()[hit], column + start
+        del hit, row, column, slot  # freed before the sort allocates as many again
+        order = np.argsort(joined, axis=1, kind="stable")[:, :k]
+        order += np.arange(0, joined.size, span)[:, None]  # flat, as slot
+        values, columns = joined.ravel()[order], at.ravel()[order]
+    return columns
 
 
 def _window_width(tokens, m):
@@ -194,53 +202,6 @@ def _window_width(tokens, m):
     if width >= tokens.n:
         return tokens.n
     return width - width % block if width >= block else width
-
-
-def _fold(values, columns, fill, k):
-    """Keep each row's top k candidates at the front of the buffers, in
-    rank order, so equal values stay in column order, and return the new
-    fill. Free slots hold -inf."""
-    keep = _top_k(values, k)  # negates values
-    kept = np.negative(np.take_along_axis(values, keep, axis=1))
-    columns[:, :k] = np.take_along_axis(columns, keep, axis=1)
-    values[:, :k] = kept
-    values[:, k:] = -np.inf
-    return np.minimum(fill, k)
-
-
-def _scatter(source, hit, counts, values, columns, fill, start):
-    """Copy the entries of source at the row-major flat indices hit, each
-    row's counts[r] of them, into values behind that row's first fill[r],
-    in order, and their column indices plus start into columns."""
-    m, w = source.shape
-    cap = values.shape[1]
-    starts = np.cumsum(counts) - counts
-    slots = np.repeat(np.arange(0, m * cap, cap) + fill - starts, counts)
-    slots += np.arange(hit.size)
-    values.ravel()[slots] = source.ravel()[hit]
-    column = np.remainder(hit, w)
-    column += start
-    columns.ravel()[slots] = column
-
-
-def _top_k(similarity, k):
-    """Column indices of each row's k largest entries, largest first,
-    ties by lower index: the first k columns of a stable descending sort.
-
-    Overwrites similarity with its negation. ``_kth_smallest`` finds
-    each row's k-th value, and only the entries at least that large (the
-    top k plus any ties at the boundary) are copied, in column order,
-    into rows padded with +inf, which one stable sort ranks row by row.
-    """
-    negated = np.negative(similarity, out=similarity)
-    m, w = negated.shape
-    hit = np.flatnonzero(negated <= _kth_smallest(negated, k))  # row-major
-    counts = np.bincount(hit // w, minlength=m)
-    values = np.full((m, counts.max()), np.inf)
-    columns = np.empty(values.shape, dtype=np.intp)
-    _scatter(negated, hit, counts, values, columns, 0, 0)
-    order = np.argsort(values, axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(columns, order, axis=1)
 
 
 def _kth_smallest(a, k):

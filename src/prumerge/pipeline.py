@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, _is_int, _is_real, class_attention
+from .core import TokenSet, _as_int, _is_int, _is_real, class_attention
 from .merging import ReducedTokenSet, token_supplement
 from .selection import (
     select_outliers,
@@ -53,9 +53,8 @@ class PipelineConfig:
         if self.k != "auto" and (not _is_int(self.k) or self.k < 1):
             raise ValueError("k must be 'auto' or a positive integer")
         for name in ("floor", "budget", "grid_rows", "grid_cols"):
-            value = getattr(self, name)
-            if value is not None and not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if getattr(self, name) is not None:
+                _as_int(name, getattr(self, name))
         if self.floor < 1:
             raise ValueError("floor must be >= 1")
         ratio = self.supplement_ratio

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _is_int
+from .core import _as_int, _is_int, _is_real
 
 
 def attention_values(attention) -> np.ndarray:
@@ -129,6 +129,7 @@ def select_outliers(attention, floor: int = 1) -> SelectionResult:
     """
     a = attention_values(attention)
     n = a.size
+    floor = _as_int("floor", floor)
     if not 1 <= floor <= n:
         raise ValueError(f"floor must be in [1, {n}]")
     fences = iqr_fences(a)
@@ -166,9 +167,9 @@ def uniform_spatial_supplement(
     n = h * w
     if base.indices[-1] >= n:  # indices ascend, so the last is the largest
         raise ValueError(f"index {base.indices[-1]} out of range for n={n}")
-    if ratio <= 0:
-        raise ValueError("supplement ratio must be positive")
-    ratio = min(ratio, 1.0)
+    if not (_is_real(ratio) and ratio > 0):  # NaN fails the comparison
+        raise ValueError(f"supplement ratio must be a positive number, got {ratio!r}")
+    ratio = min(float(ratio), 1.0)
     m_s = max(_round_half_up(ratio * n), 1)
     rows = min(max(_round_half_up(math.sqrt(m_s * h / w)), 1), h)
     cols = min(max(math.ceil(m_s / rows), 1), w)
@@ -178,6 +179,7 @@ def uniform_spatial_supplement(
 
 def sequential_baseline(n: int, budget: int) -> SelectionResult:
     """First ``budget`` tokens in flat order."""
+    n, budget = _as_int("n", n), _as_int("budget", budget)
     if not 1 <= budget <= n:
         raise ValueError("budget exceeds token count" if budget > n else "budget must be >= 1")
     return SelectionResult(tuple(range(budget)), None, "sequential")
@@ -186,6 +188,7 @@ def sequential_baseline(n: int, budget: int) -> SelectionResult:
 def spatial_grid_baseline(grid: tuple[int, int], rows: int, cols: int) -> SelectionResult:
     """rows x cols sample points evenly distributed over the token grid."""
     h, w = grid
+    rows, cols = _as_int("rows", rows), _as_int("cols", cols)
     if not 1 <= rows <= h or not 1 <= cols <= w:
         raise ValueError(f"sampling grid {rows}x{cols} does not fit token grid {h}x{w}")
     return SelectionResult(

@@ -105,6 +105,15 @@ class TestReduce:
         assert sum(l.count("#") for l in lines) == 36
         assert pgm.read_bytes().startswith(b"P5\n24 24\n255\n")
 
+    @pytest.mark.parametrize("name", ["m.PGM", "m.Pgm"])
+    def test_pgm_suffix_in_any_case_writes_pgm(self, dump, tmp_path, name):
+        masks = [tmp_path / "m.pgm", tmp_path / name]
+        for mask in masks:
+            assert run(["reduce", "--input", str(dump), "--mode", "spatial",
+                        "--grid", "6x6", "--out", str(tmp_path / "r.prmr"),
+                        "--mask", str(mask)]) == 0
+        assert masks[1].read_bytes() == masks[0].read_bytes()
+
     def test_budget_exceeds_token_count(self, dump, tmp_path, capsys):
         code = run(["reduce", "--input", str(dump), "--mode", "sequential",
                     "--budget", "1000", "--out", str(tmp_path / "r.prmr")])

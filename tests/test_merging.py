@@ -30,7 +30,6 @@ from prumerge.merging import (
     _SIMILARITY_WINDOW_BYTES,
     _kth_smallest,
     _nearest,
-    _top_k,
 )
 from prumerge.selection import SelectionResult
 from prumerge.tokendump import demo_corpus_specs
@@ -79,6 +78,16 @@ class TestKnnMembers:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="k must be"):
             members_of(np.eye(3), 0, 4)
+
+    @pytest.mark.parametrize("k", [2.0, np.float64(2.0), True, np.bool_(True), "2", None])
+    def test_k_rejects_bool_and_non_integers(self, k):
+        # unchecked, a float k fails inside np.partition and k=True runs as k = 1
+        with pytest.raises(ValueError, match="k must be an integer"):
+            members_of(np.eye(3), 0, k)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.uint8(3)])
+    def test_k_accepts_numpy_integers(self, k):
+        assert members_of(np.ones((4, 1)), 2, k) == members_of(np.ones((4, 1)), 2, int(k))
 
 
 class TestMergeCluster:
@@ -506,7 +515,7 @@ def test_windowed_ranking_equals_one_top_k(seed, n_heads, pool_size, n, windows,
     # windows of one column, one key block or a few blocks split duplicate
     # keys from their leaders and make k (up to n, the floor fallback)
     # wider than a window; one pooled key makes every entry of a window a
-    # candidate, so the buffer folds and grows (the first example)
+    # candidate, so rows carry ties and +inf pads (the first example)
     rng = np.random.default_rng(seed)
     pool = rng.normal(size=(pool_size, n_heads * 4)).astype(np.float32)
     flat = pool[rng.integers(0, pool_size, size=n)]
@@ -522,7 +531,8 @@ def test_windowed_ranking_equals_one_top_k(seed, n_heads, pool_size, n, windows,
         mp.setattr(prumerge.core, "_SIMILARITY_BLOCK_BYTES", 8 * n_heads * 4 * tokens_per_block)
         block = _key_block(n, n_heads * 4)
         width = {"column": 1, "block": block, "blocks": block * int(rng.integers(2, 4))}[windows]
-        whole = [_top_k(key_similarity(tokens, centers), k) for k in range(1, n + 1)]
+        order = np.argsort(-key_similarity(tokens, centers), axis=1, kind="stable")
+        whole = [order[:, :k] for k in range(1, n + 1)]
         mp.setattr(prumerge.merging, "_SIMILARITY_WINDOW_BYTES", 8 * centers.size * width)
         for k in range(1, n + 1):
             assert _nearest(tokens, centers, k).tobytes() == whole[k - 1].tobytes(), k

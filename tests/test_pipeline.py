@@ -1,3 +1,6 @@
+import io
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prumerge.merging
 import prumerge.pipeline
 from prumerge import (
     PipelineConfig,
@@ -18,8 +22,9 @@ from prumerge import (
     token_supplement,
     uniform_spatial_supplement,
 )
-from prumerge.tokendump import spike_positions
+from prumerge.tokendump import spike_positions, write_reduced_dump
 from oracles import merge_oracle, outlier_indices
+from test_cli import child_env
 
 
 def synth(n_spikes, seed=7, **kw):
@@ -327,3 +332,37 @@ class TestCorpusStats:
     def test_empty_corpus(self):
         with pytest.raises(ValueError, match="empty"):
             corpus_stats([])
+
+
+# prumerge+ on a 48x48 grid with ViT-L keys: m = 68 rows of n = 2304
+# float64 similarities exceed the 512 KB window budget, so the ranking
+# runs over three windows of 768 key columns
+BLAS_SPEC = {"grid": (48, 48), "d": 32, "d_k": 64, "n_heads": 16, "n_spikes": 32, "seed": 3}
+BLAS_CHILD = f"""
+import io, sys
+from prumerge import PipelineConfig, SynthSpec, reduce_tokens, synth_generate
+from prumerge.tokendump import write_reduced_dump
+tokens = synth_generate(SynthSpec(**{BLAS_SPEC!r}))
+result = reduce_tokens(tokens, PipelineConfig(mode="prumerge_plus"))
+out = io.BytesIO()
+write_reduced_dump(result.tokens, result.source_indices, result.n, out)
+sys.stdout.buffer.write(out.getvalue() + result.members.tobytes())
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads():
+    # parallel reduction relies on every output bit being the same
+    # whatever threads BLAS splits the similarity products over
+    tokens = synth_generate(SynthSpec(**BLAS_SPEC))
+    result = reduce_tokens(tokens, PipelineConfig(mode="prumerge_plus"))
+    assert prumerge.merging._window_width(tokens, result.m) < tokens.n
+    here = io.BytesIO()
+    write_reduced_dump(result.tokens, result.source_indices, result.n, here)
+    outputs = [here.getvalue() + result.members.tobytes()]
+    for threads in ("1", "2"):
+        child = subprocess.run([sys.executable, "-c", BLAS_CHILD], capture_output=True,
+                               env={**child_env(), "OPENBLAS_NUM_THREADS": threads},
+                               timeout=120)
+        assert child.returncode == 0, child.stderr.decode()
+        outputs.append(child.stdout)
+    assert outputs[1] == outputs[2] == outputs[0]

@@ -216,3 +216,40 @@ class TestSelectionResult:
     def test_accepts_numpy_integers(self):
         sel = SelectionResult(np.array([2, 5], dtype=np.uint32), None, "iqr")
         assert sel.indices == (2, 5) and all(type(i) is int for i in sel.indices)
+
+
+# one stage call per integer argument, the argument given by the lambda
+COUNT_ARGUMENTS = {
+    "floor": lambda v: select_outliers(np.full(4, 0.25), floor=v),
+    "n": lambda v: sequential_baseline(v, 2),
+    "budget": lambda v: sequential_baseline(16, v),
+    "rows": lambda v: spatial_grid_baseline((4, 4), v, 2),
+    "cols": lambda v: spatial_grid_baseline((4, 4), 2, v),
+}
+
+
+class TestStageArguments:
+    """The stages reject what PipelineConfig rejects with a ValueError,
+    not a TypeError from deep inside, and accept numpy numbers."""
+
+    @pytest.mark.parametrize("value", [2.0, np.float64(2.0), True, np.bool_(True), "2", None])
+    @pytest.mark.parametrize("name", COUNT_ARGUMENTS)
+    def test_counts_reject_bool_and_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            COUNT_ARGUMENTS[name](value)
+
+    @pytest.mark.parametrize("value", [np.int64(2), np.uint8(2)])
+    @pytest.mark.parametrize("name", COUNT_ARGUMENTS)
+    def test_counts_accept_numpy_integers(self, name, value):
+        assert COUNT_ARGUMENTS[name](value) == COUNT_ARGUMENTS[name](int(value))
+
+    @pytest.mark.parametrize("ratio", [float("nan"), 0.0, -0.5, True, np.bool_(True), "0.5", None])
+    def test_supplement_ratio_must_be_a_positive_number(self, ratio):
+        with pytest.raises(ValueError, match="supplement ratio must be a positive number"):
+            uniform_spatial_supplement(select_outliers_from([0], 16), (4, 4), ratio)
+
+    @pytest.mark.parametrize("ratio", [np.float32(0.25), np.float64(0.25), np.int64(1)])
+    def test_supplement_accepts_numpy_numbers(self, ratio):
+        base = select_outliers_from([0], 16)
+        assert (uniform_spatial_supplement(base, (4, 4), ratio)
+                == uniform_spatial_supplement(base, (4, 4), float(ratio)))
