@@ -38,6 +38,25 @@ def _as_int(name, value) -> int:
     return int(value)
 
 
+def _as_bool(name, value) -> bool:
+    """value as a Python bool; a ValueError unless it is one or numpy's."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _as_grid(grid) -> tuple[int, int]:
+    """grid as two Python ints, so h * w cannot overflow; a ValueError
+    unless ``_is_int`` holds for both."""
+    try:
+        h, w = grid
+    except (TypeError, ValueError):
+        h = w = None
+    if not (_is_int(h) and _is_int(w)):
+        raise ValueError(f"grid must be two integers, got {grid!r}")
+    return int(h), int(w)
+
+
 def _check_finite(name, arr):
     # NaN propagates through min and max, and an infinity is one of them,
     # so no elementwise temporary is needed
@@ -70,9 +89,7 @@ class TokenSet:
         object.__setattr__(self, "q_cls", np.asarray(self.q_cls, dtype=np.float32))
         object.__setattr__(self, "K", np.asarray(self.K, dtype=np.float32))
         object.__setattr__(self, "Y", np.asarray(self.Y, dtype=np.float32))
-        h, w = self.grid
-        if not (_is_int(h) and _is_int(w)):
-            raise ValueError(f"grid must be two integers, got {self.grid!r}")
+        h, w = _as_grid(self.grid)
         if self.q_cls.ndim != 2:
             raise ValueError("q_cls must be 2-d (n_heads, d_k)")
         if self.K.ndim != 3:
@@ -152,6 +169,8 @@ def class_attention(tokens: TokenSet) -> np.ndarray:
 
 # float64 key block of the similarity windows
 _SIMILARITY_BLOCK_BYTES = 2 << 20
+# float64 similarity rows computed at once (see _similarity_windows)
+_SIMILARITY_WINDOW_BYTES = 512 << 10
 
 
 def key_similarity(tokens: TokenSet, centers) -> np.ndarray:
@@ -160,54 +179,65 @@ def key_similarity(tokens: TokenSet, centers) -> np.ndarray:
 
     With multiple heads, the similarity is the dot product of each
     token's concatenated per-head keys (equal to the sum of the per-head
-    dot products). This is the one-window case of ``_similarity_windows``,
-    which documents how the rows are computed.
+    dot products). The rows are filled from ``_similarity_windows``,
+    which documents how they are computed, so they equal bit for bit the
+    rows the merge ranks.
     """
-    ((_, similarity),) = _similarity_windows(tokens, centers, tokens.n)
+    similarity = np.empty((len(centers), tokens.n))
+    for start, rows in _similarity_windows(tokens, centers):
+        similarity[:, start:start + rows.shape[1]] = rows
     return similarity
 
 
-def _similarity_windows(tokens: TokenSet, centers, width: int):
-    """Yield ``(start, rows)`` for consecutive windows of at most ``width``
-    key columns: ``rows`` holds the (m, stop - start) float64
-    similarities of the centers to tokens start..stop-1.
+def _similarity_windows(tokens: TokenSet, centers):
+    """Yield ``(start, rows)`` for consecutive windows of key columns:
+    ``rows`` holds the (m, stop - start) float64 similarities of the
+    centers to tokens start..stop-1.
 
     The keys are cast to float64 a block of tokens at a time, into one
     reused buffer of at most ``_SIMILARITY_BLOCK_BYTES`` (or one token),
     and each block is multiplied against the centers' keys with one BLAS
-    product, so the float64 keys never exist all at once. Each window is
+    product, so the float64 keys never exist all at once. The n keys are
     cut into the fewest blocks the budget allows, all of one width but
-    the last, which is at most as wide: 576 ViT-L keys are cast as
-    3 x 192, not 256 + 256 + 64. A window holds whole key blocks, so
-    each block is cast once. BLAS may round equal dot products
-    differently depending on where a column sits, so every token whose
-    key equals an earlier token's key (over all heads, with -0.0 equal
-    to 0.0) is given that earlier token's column, kept from the earlier
-    token's own window: identical keys get exactly equal similarities
-    and rank by lower index. The windows share one buffer, so each is
-    valid until the next is asked for.
+    the last: 576 ViT-L keys are cast as 3 x 192, not 256 + 256 + 64. A
+    window holds as many whole blocks as ``_SIMILARITY_WINDOW_BYTES`` of
+    rows holds (3 x 240 AnyRes keys for 82 centers), or every key when
+    that covers them, but never fewer columns than one block or a key's
+    coordinates: each BLAS call reads all of the centers' keys, so a
+    narrower window costs more calls than the rows it saves. BLAS may
+    round equal dot products differently depending on where a column
+    sits, so every token whose key equals an earlier token's key (over
+    all heads, with -0.0 equal to 0.0) is given that earlier token's
+    column, kept from the earlier token's own window: identical keys get
+    exactly equal similarities and rank by lower index. The windows
+    share one buffer, so each is valid until the next is asked for.
     """
     centers = np.asarray(centers, dtype=np.intp)
     n_heads, n, d_k = tokens.K.shape
     size = n_heads * d_k
+    blocks = -(-n // max(1, _SIMILARITY_BLOCK_BYTES // (8 * size)))
+    block = -(-n // blocks)
+    width = max(_SIMILARITY_WINDOW_BYTES // (8 * centers.size), min(block, size))
+    if width >= n:
+        width = n
+    elif width >= block:
+        width -= width % block
     rows = tokens.K.transpose(1, 0, 2)[centers].reshape(centers.size, size)
     rows = rows.astype(np.float64)
-    span = min(width, n)
-    block = _key_block(span, size)
     # any fixed probe gives equal keys equal fingerprints; sines of the
     # integers have no simple linear relations, so distinct keys rarely
     # share one. One coordinate per head is read; float32 probe values make
     # every product exact, and einsum sums every token's heads in the same
     # order, so no rounding depends on a key's position.
     probe = np.sin(np.arange(1, n_heads + 1)).astype(np.float32)
-    fingerprint = np.einsum("hn,h->n", tokens.K[:, :, 0], probe, dtype=np.float64)
-    dup, first = _equal_key_columns(tokens.K, fingerprint)
+    dup, first = _equal_key_columns(
+        tokens.K, np.einsum("hn,h->n", tokens.K[:, :, 0], probe, dtype=np.float64))
     leaders, slot = np.unique(first, return_inverse=True)
     kept = np.empty((centers.size, leaders.size))
-    similarity = np.empty(centers.size * span)
-    buf = np.empty((block, n_heads, d_k))
-    for start in range(0, n, span):
-        stop = min(start + span, n)
+    similarity = np.empty(centers.size * width)
+    buf = np.empty((min(block, width), n_heads, d_k))
+    for start in range(0, n, width):
+        stop = min(start + width, n)
         window = similarity[: centers.size * (stop - start)].reshape(centers.size, stop - start)
         for s in range(start, stop, block):
             e = min(s + block, stop)
@@ -218,15 +248,11 @@ def _similarity_windows(tokens: TokenSet, centers, width: int):
         kept[:, lo:hi] = window[:, leaders[lo:hi] - start]
         lo, hi = np.searchsorted(dup, (start, stop))
         window[:, dup[lo:hi] - start] = kept[:, slot[lo:hi]]
+        if stop == n:
+            # nothing is cast after the last window, so the key block and the
+            # centers' keys are not held while the caller ranks it
+            del buf, keys, rows, kept
         yield start, window
-
-
-def _key_block(span: int, size: int) -> int:
-    """Tokens per key block when ``span`` keys of ``size`` coordinates are
-    cast in the fewest blocks of one width that fit
-    ``_SIMILARITY_BLOCK_BYTES`` (the last block may be narrower)."""
-    blocks = -(-span // max(1, _SIMILARITY_BLOCK_BYTES // (8 * size)))
-    return -(-span // blocks)
 
 
 def _equal_key_columns(K, fingerprint):

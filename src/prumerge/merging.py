@@ -5,19 +5,19 @@ included) form a cluster, and the center is replaced by the class-
 attention-weighted average of the cluster's embeddings. Weights are
 normalized within each cluster by default so the merged embedding keeps
 the scale of its members; an unnormalized mode is available for
-comparison. The similarity rows are computed over windows of key
-columns (one window at ViT-L shapes), and each row keeps a running top
-k: a window's candidates, the entries at or above that window's k-th
-largest value, go behind the row's top k so far, and one stable sort
-keeps the first k. The clusters are then merged over blocks of
-centers. The float64 keys and the similarity rows are each bounded by
-a fixed byte budget or by the centers' own keys, and the running top k
-and the candidates by O(m·k), not by n or m·n. The gathered member
-embeddings are bounded too: a center whose k members' embeddings
-exceed the merge budget is merged one slab of embedding columns at a
-time, and every column still sums its members in the same order, so
-the result does not depend on the slabs. A floor-fallback image (one
-center, k = n) thus never copies all of the embeddings.
+comparison. Every shape is ranked by one loop over the windows of
+similarity rows that ``core._similarity_windows`` picks (one window at
+ViT-L shapes): each row keeps a running top k, a window's candidates
+(its entries at or above that window's k-th largest value) go behind
+it, and one stable sort keeps the first k. The windows hold a key
+block, the centers' float64 keys and one window, each bounded by a
+byte budget or by the centers' own keys, and the ranking O(m·k) more,
+nothing of size m·n. The clusters are then merged over blocks of
+centers; a center whose k members' embeddings exceed the merge budget
+is merged one slab of embedding columns at a time, and every column
+still sums its members in the same order, so the result does not
+depend on the slabs. A floor-fallback image (one center, k = n) thus
+never copies all of the embeddings.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, _as_int, _key_block, _similarity_windows, key_similarity
+from .core import TokenSet, _as_bool, _as_int, _similarity_windows
 from .selection import SelectionResult, attention_values
 
 __all__ = ["ReducedTokenSet", "token_supplement"]
 
-# float64 similarity rows computed at once (see _window_width)
-_SIMILARITY_WINDOW_BYTES = 512 << 10
 # float64 rows partitioned at once to find each row's k-th value; at
 # least one row
 _PARTITION_BLOCK_BYTES = 64 << 10
@@ -100,6 +98,7 @@ def token_supplement(
     pruning).
     """
     k = _as_int("k", k)
+    normalize = _as_bool("normalize", normalize)
     if not 1 <= k <= tokens.n:
         raise ValueError(f"k must be in [1, {tokens.n}]")
     a = attention_values(attention)
@@ -147,26 +146,20 @@ def _nearest(tokens, centers, k):
     lower index: the first k columns of a stable descending sort of its
     similarity row, kept as one running top k over windows of the row.
 
-    The rows come one window of ``_window_width`` key columns at a time.
-    Each window is negated in place, and only its entries at or above
-    that window's k-th largest value are candidates: an entry below it
-    has k larger ones in the window, so it cannot be in the row's top k.
-    The candidates are copied, in column order, into rows padded with
-    +inf behind the running top k, and one stable sort keeps each row's
-    first k. The running entries come first and have lower columns, so
-    ties still go to the lower index.
+    The rows come one window of key columns at a time from
+    ``_similarity_windows``, at every shape. Each window is negated in
+    place, and only its entries at or above that window's k-th largest
+    value are candidates: an entry below it has k larger ones in the
+    window, so it cannot be in the row's top k. The candidates are
+    copied, in column order, into rows padded with +inf behind the
+    running top k, and one stable sort keeps each row's first k. The
+    running entries come first and have lower columns, so ties still go
+    to the lower index.
     """
     m = centers.size
-    width = _window_width(tokens, m)
-    if width == tokens.n:
-        # the one window's rows, from the function perfbench traces: at
-        # ViT-L shapes it is the ranking's only span
-        windows = ((0, key_similarity(tokens, centers)),)
-    else:
-        windows = _similarity_windows(tokens, centers, width)
     values = np.empty((m, 0))
     columns = np.empty((m, 0), dtype=np.intp)
-    for start, rows in windows:
+    for start, rows in _similarity_windows(tokens, centers):
         negated = np.negative(rows, out=rows)
         w = rows.shape[1]
         hit = np.flatnonzero(negated <= _kth_smallest(negated, min(k, w)))  # row-major
@@ -186,22 +179,6 @@ def _nearest(tokens, centers, k):
         order += np.arange(0, joined.size, span)[:, None]  # flat, as slot
         values, columns = joined.ravel()[order], at.ravel()[order]
     return columns
-
-
-def _window_width(tokens, m):
-    """Key columns per similarity window of m centers: as many whole key
-    blocks as ``_SIMILARITY_WINDOW_BYTES`` of rows holds (3 x 240 keys at
-    AnyRes shape), or n when that covers every key. A window is never
-    narrower than one key block or a key's coordinates, whichever is
-    fewer: each BLAS call reads all of the centers' keys, so narrower
-    windows cost more calls than the rows they save, and those rows
-    would be no larger than the centers' float64 keys already are."""
-    size = tokens.n_heads * tokens.d_k
-    block = _key_block(tokens.n, size)
-    width = max(_SIMILARITY_WINDOW_BYTES // (8 * m), min(block, size))
-    if width >= tokens.n:
-        return tokens.n
-    return width - width % block if width >= block else width
 
 
 def _kth_smallest(a, k):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, _as_int, _is_int, _is_real, class_attention
+from .core import TokenSet, _as_bool, _as_int, _is_int, _is_real, class_attention
 from .merging import ReducedTokenSet, token_supplement
 from .selection import (
     select_outliers,
@@ -61,9 +61,7 @@ class PipelineConfig:
         if not (isinstance(ratio, str) and ratio == "auto"
                 or _is_real(ratio) and 0 < ratio <= 1):
             raise ValueError(f"supplement_ratio must be 'auto' or in (0, 1], got {ratio!r}")
-        if not isinstance(self.normalize_weights, (bool, np.bool_)):
-            raise ValueError(
-                f"normalize_weights must be a bool, got {self.normalize_weights!r}")
+        _as_bool("normalize_weights", self.normalize_weights)
         if self.mode == "sequential" and (self.budget is None or self.budget < 1):
             raise ValueError("sequential mode requires a budget >= 1")
         if self.mode == "spatial" and (self.grid_rows is None or self.grid_cols is None):

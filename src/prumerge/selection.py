@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_int, _is_int, _is_real
+from .core import _as_grid, _as_int, _is_int, _is_real
 
 
 def attention_values(attention) -> np.ndarray:
@@ -163,7 +163,7 @@ def uniform_spatial_supplement(
     aspect matching the token grid; overlaps with the base selection are
     deduplicated.
     """
-    h, w = grid
+    h, w = _as_grid(grid)
     n = h * w
     if base.indices[-1] >= n:  # indices ascend, so the last is the largest
         raise ValueError(f"index {base.indices[-1]} out of range for n={n}")
@@ -187,7 +187,7 @@ def sequential_baseline(n: int, budget: int) -> SelectionResult:
 
 def spatial_grid_baseline(grid: tuple[int, int], rows: int, cols: int) -> SelectionResult:
     """rows x cols sample points evenly distributed over the token grid."""
-    h, w = grid
+    h, w = _as_grid(grid)
     rows, cols = _as_int("rows", rows), _as_int("cols", cols)
     if not 1 <= rows <= h or not 1 <= cols <= w:
         raise ValueError(f"sampling grid {rows}x{cols} does not fit token grid {h}x{w}")

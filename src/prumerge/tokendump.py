@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, _is_int, _is_real
+from .core import TokenSet, _as_grid, _is_int, _is_real
 from .fileio import TokenDumpError, write_outputs
 from .selection import SelectionResult
 
@@ -256,9 +256,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        h, w = self.grid
-        if not (_is_int(h) and _is_int(w)):
-            raise ValueError(f"grid must be two integers, got {self.grid!r}")
+        h, w = _as_grid(self.grid)
         for name in ("d", "d_k", "n_heads", "n_spikes", "cluster_count", "seed"):
             value = getattr(self, name)
             if not _is_int(value):

@@ -14,7 +14,7 @@ from prumerge import (
     reduce_tokens,
     scaled_softmax,
 )
-from prumerge.core import _SIMILARITY_BLOCK_BYTES
+from prumerge.core import _SIMILARITY_BLOCK_BYTES, _similarity_windows
 from oracles import dot_table, softmax_direct
 
 finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False)
@@ -262,3 +262,41 @@ def test_key_blocks_are_equal_and_within_the_budget(monkeypatch, n, grid):
     assert sum(widths) == n and max(widths) - min(widths) <= 1
     assert len(widths) == -(-8 * size * n // _SIMILARITY_BLOCK_BYTES)  # as many BLAS calls as before
     assert 8 * size * max(widths) <= _SIMILARITY_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("m, window", [(82, 720), (400, 240)])
+def test_windows_hold_whole_key_blocks(m, window):
+    # AnyRes keys (n = 2880, 16 heads of d_k = 64) are cast as 12 x 240.
+    # 82 centers get windows of three whole blocks; the budget holds
+    # 163 columns of 400 centers, but they get windows of one block,
+    # since every narrower window would cost one more BLAS call over all
+    # of the centers' keys
+    n = 2880
+    rng = np.random.default_rng(m)
+    tokens = TokenSet(grid=(120, 24), q_cls=np.zeros((16, 64)),
+                      K=rng.standard_normal((16, n, 64), dtype=np.float32), Y=np.zeros((n, 1)))
+    widths = [rows.shape[1] for _, rows in _similarity_windows(tokens, np.arange(m))]
+    assert widths == [window] * (n // window)
+
+
+@pytest.mark.parametrize("n, grid, m, windows", [(576, (24, 24), 64, 1), (2880, (120, 24), 82, 4)])
+def test_last_window_holds_no_key_block_or_center_keys(n, grid, m, windows):
+    # the caller ranks the last window (at ViT-L shapes, the only one)
+    # while the generator is suspended; by then the generator holds the
+    # windows' buffer and O(m) more, not the float64 key block (1.5 MB
+    # and 1.97 MB here) or the centers' float64 keys (8 KB per center)
+    rng = np.random.default_rng(n)
+    tokens = TokenSet(grid=grid, q_cls=np.zeros((16, 64)),
+                      K=rng.standard_normal((16, n, 64), dtype=np.float32), Y=np.zeros((n, 1)))
+    widths = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for start, rows in _similarity_windows(tokens, np.arange(m)):
+            widths.append(rows.shape[1])
+            if start + rows.shape[1] == n:
+                held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(widths) == windows
+    assert held < 8 * m * widths[0] + 1024 * m

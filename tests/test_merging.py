@@ -21,16 +21,11 @@ from prumerge import (
 )
 from prumerge.core import (
     _SIMILARITY_BLOCK_BYTES,
+    _SIMILARITY_WINDOW_BYTES,
     _equal_key_columns,
-    _key_block,
     _similarity_windows,
 )
-from prumerge.merging import (
-    _MERGE_BLOCK_BYTES,
-    _SIMILARITY_WINDOW_BYTES,
-    _kth_smallest,
-    _nearest,
-)
+from prumerge.merging import _MERGE_BLOCK_BYTES, _kth_smallest, _nearest
 from prumerge.selection import SelectionResult
 from prumerge.tokendump import demo_corpus_specs
 from oracles import merge_oracle
@@ -124,6 +119,21 @@ class TestMergeCluster:
         np.testing.assert_array_equal(result.weights, [[0.5, 0.5]])
         np.testing.assert_allclose(result.tokens[0], [2.0, 0.0], atol=1e-7)
 
+    @pytest.mark.parametrize("normalize", ["no", "", 0, 1, None, np.float64(1.0)])
+    def test_normalize_must_be_a_bool(self, normalize):
+        # unchecked, any truthy value such as "no" normalized
+        tokens = tokens_from(np.eye(2), np.eye(2, dtype=np.float32))
+        with pytest.raises(ValueError, match="normalize must be a bool"):
+            token_supplement(selection_of([0]), tokens, np.array([0.1, 0.3]), k=2,
+                             normalize=normalize)
+
+    @pytest.mark.parametrize("normalize", [np.bool_(True), np.bool_(False)])
+    def test_normalize_accepts_numpy_bools(self, normalize):
+        tokens = tokens_from(np.eye(2), np.eye(2, dtype=np.float32))
+        results = [token_supplement(selection_of([0]), tokens, np.array([0.1, 0.3]), k=2,
+                                    normalize=value) for value in (normalize, bool(normalize))]
+        assert results[0].weights.tobytes() == results[1].weights.tobytes()
+
     def test_raw_weights_mode(self):
         Y = np.eye(2, dtype=np.float32)
         result = token_supplement(selection_of([0]), tokens_from(np.eye(2), Y),
@@ -152,13 +162,13 @@ class TestTokenSupplement:
 
     def test_k1_never_ranks(self, monkeypatch):
         calls = []
-        original = prumerge.merging.key_similarity
+        original = prumerge.merging._similarity_windows
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(prumerge.merging, "key_similarity", counting)
+        monkeypatch.setattr(prumerge.merging, "_similarity_windows", counting)
         tokens = tokens_from(np.random.default_rng(6).normal(size=(9, 4)),
                              np.zeros((9, 2), np.float32), grid=(3, 3))
         result = token_supplement(selection_of([2, 5]), tokens, uniform_attention(9), k=1)
@@ -459,7 +469,7 @@ def test_every_token_kept_peak_is_bounded_by_the_window_budgets(monkeypatch):
     assert m == tokens.n
     assert peak < (_SIMILARITY_WINDOW_BYTES * 9 // 8 + _SIMILARITY_BLOCK_BYTES
                    + 8 * m * width + 64 * m * k)
-    monkeypatch.setattr(prumerge.merging, "_SIMILARITY_WINDOW_BYTES", 8 * m * tokens.n)
+    monkeypatch.setattr(prumerge.core, "_SIMILARITY_WINDOW_BYTES", 8 * m * tokens.n)
     whole = reduce_tokens(tokens, config)
     np.testing.assert_array_equal(windowed.members, whole.members)
     assert windowed.tokens.tobytes() == whole.tokens.tobytes()
@@ -487,14 +497,18 @@ def test_small_windows_match_the_oracle_and_one_window(seed, n_heads, pool_size,
     selection = selection_of(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                         replace=False).tolist())
     leader = [min(i for i in range(n) if (flat[i] == flat[j]).all()) for j in range(n)]
-    rows = np.concatenate([w.copy() for _, w in _similarity_windows(tokens, selection.indices,
-                                                                     window)], axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        # windows of at most `window` columns, each one BLAS call
+        mp.setattr(prumerge.core, "_SIMILARITY_BLOCK_BYTES", 8 * n_heads * 4 * window)
+        mp.setattr(prumerge.core, "_SIMILARITY_WINDOW_BYTES", 8 * selection.m * window)
+        rows = np.concatenate([w.copy() for _, w in _similarity_windows(tokens, selection.indices)],
+                              axis=1)
     assert rows[:, leader].tobytes() == rows.tobytes()
     for k in range(1, n + 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(prumerge.core, "_SIMILARITY_BLOCK_BYTES", 8 * n_heads * 4 * tokens_per_block)
             whole = token_supplement(selection, tokens, a, k)
-            mp.setattr(prumerge.merging, "_SIMILARITY_WINDOW_BYTES", 8 * selection.m * window)
+            mp.setattr(prumerge.core, "_SIMILARITY_WINDOW_BYTES", 8 * selection.m * window)
             windowed = token_supplement(selection, tokens, a, k)
         _, member_lists = merge_oracle(selection.indices, flat, a, tokens.Y, k)
         assert [tuple(row) for row in windowed.members.tolist()] == member_lists, k
@@ -529,37 +543,13 @@ def test_windowed_ranking_equals_one_top_k(seed, n_heads, pool_size, n, windows,
         tokens_per_block = 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(prumerge.core, "_SIMILARITY_BLOCK_BYTES", 8 * n_heads * 4 * tokens_per_block)
-        block = _key_block(n, n_heads * 4)
+        block = -(-n // -(-n // tokens_per_block))  # the key block of n tokens
         width = {"column": 1, "block": block, "blocks": block * int(rng.integers(2, 4))}[windows]
         order = np.argsort(-key_similarity(tokens, centers), axis=1, kind="stable")
         whole = [order[:, :k] for k in range(1, n + 1)]
-        mp.setattr(prumerge.merging, "_SIMILARITY_WINDOW_BYTES", 8 * centers.size * width)
+        mp.setattr(prumerge.core, "_SIMILARITY_WINDOW_BYTES", 8 * centers.size * width)
         for k in range(1, n + 1):
             assert _nearest(tokens, centers, k).tobytes() == whole[k - 1].tobytes(), k
-
-
-@pytest.mark.parametrize("m, window", [(82, 720), (400, 240)])
-def test_windows_hold_whole_key_blocks(monkeypatch, m, window):
-    # AnyRes keys (n = 2880, 16 heads of d_k = 64) are cast as 12 x 240.
-    # 82 centers rank in windows of three whole blocks; the budget holds
-    # 163 columns of 400 centers, but they rank in windows of one block,
-    # since every narrower window would cost one more BLAS call over all
-    # of the centers' keys
-    n = 2880
-    rng = np.random.default_rng(m)
-    tokens = TokenSet(grid=(120, 24), q_cls=np.zeros((16, 64)),
-                      K=rng.standard_normal((16, n, 64), dtype=np.float32), Y=np.zeros((n, 1)))
-    widths = []
-    windows = prumerge.merging._similarity_windows
-
-    def recording_windows(*args):
-        for start, rows in windows(*args):
-            widths.append(rows.shape[1])
-            yield start, rows
-
-    monkeypatch.setattr(prumerge.merging, "_similarity_windows", recording_windows)
-    _nearest(tokens, np.arange(m), 2)
-    assert widths == [window] * (n // window)
 
 
 def test_anyres_ranking_holds_no_similarity_rows():

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import prumerge.merging
 import prumerge.pipeline
 from prumerge import (
     PipelineConfig,
@@ -22,6 +21,7 @@ from prumerge import (
     token_supplement,
     uniform_spatial_supplement,
 )
+from prumerge.core import _similarity_windows
 from prumerge.tokendump import spike_positions, write_reduced_dump
 from oracles import merge_oracle, outlier_indices
 from test_cli import child_env
@@ -355,7 +355,7 @@ def test_outputs_do_not_depend_on_blas_threads():
     # whatever threads BLAS splits the similarity products over
     tokens = synth_generate(SynthSpec(**BLAS_SPEC))
     result = reduce_tokens(tokens, PipelineConfig(mode="prumerge_plus"))
-    assert prumerge.merging._window_width(tokens, result.m) < tokens.n
+    assert len(list(_similarity_windows(tokens, result.source_indices))) == 3
     here = io.BytesIO()
     write_reduced_dump(result.tokens, result.source_indices, result.n, here)
     outputs = [here.getvalue() + result.members.tobytes()]

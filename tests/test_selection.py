@@ -227,6 +227,13 @@ COUNT_ARGUMENTS = {
     "cols": lambda v: spatial_grid_baseline((4, 4), 2, v),
 }
 
+# one stage call per function that takes a token grid
+GRID_STAGES = {
+    "spatial_grid_baseline": lambda grid: spatial_grid_baseline(grid, 2, 2),
+    "uniform_spatial_supplement": lambda grid: uniform_spatial_supplement(
+        select_outliers_from([0], 16), grid, 0.25),
+}
+
 
 class TestStageArguments:
     """The stages reject what PipelineConfig rejects with a ValueError,
@@ -242,6 +249,20 @@ class TestStageArguments:
     @pytest.mark.parametrize("name", COUNT_ARGUMENTS)
     def test_counts_accept_numpy_integers(self, name, value):
         assert COUNT_ARGUMENTS[name](value) == COUNT_ARGUMENTS[name](int(value))
+
+    @pytest.mark.parametrize("grid", [(4.5, 4), (True, 4), (4, np.bool_(True)), (4.0, 4.0),
+                                      (np.float64(4), 4), (4, "4"), (4, 4, 4), None, 16])
+    @pytest.mark.parametrize("stage", GRID_STAGES)
+    def test_grid_rejects_bool_and_non_integers(self, stage, grid):
+        # unchecked, (4.5, 4) sampled indices and (True, 4) ran as a 1x4 grid
+        with pytest.raises(ValueError, match="grid must be two integers"):
+            GRID_STAGES[stage](grid)
+
+    @pytest.mark.parametrize("grid", [(np.int64(4), np.uint8(4)), (np.uint8(16), np.uint8(16))])
+    @pytest.mark.parametrize("stage", GRID_STAGES)
+    def test_grid_accepts_numpy_integers(self, stage, grid):
+        # 16 x 16 as uint8 would overflow to n = 0 if multiplied unconverted
+        assert GRID_STAGES[stage](grid) == GRID_STAGES[stage](tuple(map(int, grid)))
 
     @pytest.mark.parametrize("ratio", [float("nan"), 0.0, -0.5, True, np.bool_(True), "0.5", None])
     def test_supplement_ratio_must_be_a_positive_number(self, ratio):
