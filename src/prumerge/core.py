@@ -38,6 +38,19 @@ def _as_int(name, value) -> int:
     return int(value)
 
 
+def _as_ints(name, values) -> tuple[int, ...]:
+    """values as a tuple of Python ints; a ValueError unless values is a
+    sequence and ``_is_int`` holds for every entry."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
+    bad = [value for value in values if not _is_int(value)]
+    if bad:
+        raise ValueError(f"{name} must be integers, got {bad[0]!r}")
+    return tuple(map(int, values))
+
+
 def _as_bool(name, value) -> bool:
     """value as a Python bool; a ValueError unless it is one or numpy's."""
     if not isinstance(value, (bool, np.bool_)):
@@ -181,11 +194,18 @@ def key_similarity(tokens: TokenSet, centers) -> np.ndarray:
     token's concatenated per-head keys (equal to the sum of the per-head
     dot products). The rows are filled from ``_similarity_windows``,
     which documents how they are computed, so they equal bit for bit the
-    rows the merge ranks.
+    rows the merge ranks. ``centers`` must be a sequence of integers in
+    [0, n), numpy's included but not bools, or it is a ValueError; no
+    centers give a (0, n) array.
     """
+    centers = _as_ints("centers", centers)
+    bad = [c for c in centers if not 0 <= c < tokens.n]
+    if bad:
+        raise ValueError(f"center {bad[0]} out of range for n={tokens.n}")
     similarity = np.empty((len(centers), tokens.n))
-    for start, rows in _similarity_windows(tokens, centers):
-        similarity[:, start:start + rows.shape[1]] = rows
+    if centers:
+        for start, rows in _similarity_windows(tokens, centers):
+            similarity[:, start:start + rows.shape[1]] = rows
     return similarity
 
 
@@ -202,15 +222,16 @@ def _similarity_windows(tokens: TokenSet, centers):
     the last: 576 ViT-L keys are cast as 3 x 192, not 256 + 256 + 64. A
     window holds as many whole blocks as ``_SIMILARITY_WINDOW_BYTES`` of
     rows holds (3 x 240 AnyRes keys for 82 centers), or every key when
-    that covers them, but never fewer columns than one block or a key's
-    coordinates: each BLAS call reads all of the centers' keys, so a
-    narrower window costs more calls than the rows it saves. BLAS may
-    round equal dot products differently depending on where a column
-    sits, so every token whose key equals an earlier token's key (over
-    all heads, with -0.0 equal to 0.0) is given that earlier token's
-    column, kept from the earlier token's own window: identical keys get
-    exactly equal similarities and rank by lower index. The windows
-    share one buffer, so each is valid until the next is asked for.
+    that covers them (all 576 ViT-L keys for up to 113 centers), but
+    never fewer columns than one block or a key's coordinates: each BLAS
+    call reads all of the centers' keys, so a narrower window costs more
+    calls than the rows it saves. BLAS may round equal dot products
+    differently depending on where a column sits, so every token whose
+    key equals an earlier token's key (over all heads, with -0.0 equal
+    to 0.0) is given that earlier token's column, kept from the earlier
+    token's own window: identical keys get exactly equal similarities
+    and rank by lower index. The windows share one buffer, so each is
+    valid until the next is asked for.
     """
     centers = np.asarray(centers, dtype=np.intp)
     n_heads, n, d_k = tokens.K.shape

@@ -13,6 +13,7 @@ Accounting conventions (pinned for reproducibility):
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 __all__ = [
@@ -153,6 +154,16 @@ def _ffn_factor(model: ModelProfile) -> int:
     return 6 if model.ffn_kind == "gated_three_matrix" else 4
 
 
+def _token_count(name, value) -> int:
+    """value as a Python int; a ValueError unless it is a nonnegative
+    integer, numpy's included, that is not a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return int(value)
+
+
 def prefill_flops(model: ModelProfile, n_tokens: int) -> float:
     """Total prefill FLOPs for a prompt of n_tokens.
 
@@ -160,9 +171,7 @@ def prefill_flops(model: ModelProfile, n_tokens: int) -> float:
     attention scores and values, and 4 or 6 * n*d*d_ff for the FFN;
     plus one final 2*n*d*n_vocab vocabulary projection.
     """
-    if n_tokens < 0:
-        raise ValueError("n_tokens must be nonnegative")
-    n, d = float(n_tokens), float(model.d_model)
+    n, d = float(_token_count("n_tokens", n_tokens)), float(model.d_model)
     per_layer = 8.0 * n * d * d + 4.0 * n * n * d + _ffn_factor(model) * n * d * model.d_ff
     return model.n_layers * per_layer + 2.0 * n * d * model.n_vocab
 
@@ -174,9 +183,7 @@ def memory_footprint(model: ModelProfile, n_tokens: int) -> tuple[float, float, 
     outputs of every layer (norms, QKV, attention scores and softmax,
     attention output, projections, FFN intermediates) at FP16 width.
     """
-    if n_tokens < 0:
-        raise ValueError("n_tokens must be nonnegative")
-    n, d = float(n_tokens), float(model.d_model)
+    n, d = float(_token_count("n_tokens", n_tokens)), float(model.d_model)
     weights = model.n_params * model.bytes_per_param
     kv = 2.0 * model.n_layers * n * d * ACTIVATION_BYTES
     # per layer: norm1, q, k, v, attn_out, o_proj, resid1, norm2,
@@ -196,6 +203,7 @@ def roofline_time(flops: float, moved_bytes: float, hw: HardwareProfile) -> floa
 
 
 def cost_report(model: ModelProfile, hw: HardwareProfile, n_tokens: int) -> CostReport:
+    n_tokens = _token_count("n_tokens", n_tokens)
     flops = prefill_flops(model, n_tokens)
     total, activation, kv = memory_footprint(model, n_tokens)
     return CostReport(
@@ -214,6 +222,7 @@ def cost_comparison(
 ) -> tuple[CostReport, CostReport, dict]:
     """Cost reports at the full and reduced token counts plus savings
     ratios (reduced / full)."""
+    n_full, n_reduced = _token_count("n_full", n_full), _token_count("n_reduced", n_reduced)
     if n_full < 1:
         raise ValueError("n_full must be >= 1")
     if n_reduced > n_full:

@@ -6,10 +6,10 @@ attention-weighted average of the cluster's embeddings. Weights are
 normalized within each cluster by default so the merged embedding keeps
 the scale of its members; an unnormalized mode is available for
 comparison. Every shape is ranked by one loop over the windows of
-similarity rows that ``core._similarity_windows`` picks (one window at
-ViT-L shapes): each row keeps a running top k, a window's candidates
-(its entries at or above that window's k-th largest value) go behind
-it, and one stable sort keeps the first k. The windows hold a key
+similarity rows that ``core._similarity_windows`` picks: each row keeps
+a running top k, a window's candidates (its entries at or above that
+window's k-th largest value) go behind it, and one stable sort keeps
+the first k. The windows hold a key
 block, the centers' float64 keys and one window, each bounded by a
 byte budget or by the centers' own keys, and the ranking O(m·k) more,
 nothing of size m·n. The clusters are then merged over blocks of
@@ -147,7 +147,9 @@ def _nearest(tokens, centers, k):
     similarity row, kept as one running top k over windows of the row.
 
     The rows come one window of key columns at a time from
-    ``_similarity_windows``, at every shape. Each window is negated in
+    ``_similarity_windows``, at every shape: one window of all 576 keys
+    at ViT-L shapes for up to 113 centers, 720 keys (3 x 240) at a time
+    for AnyRes's 2880 at 82 centers. Each window is negated in
     place, and only its entries at or above that window's k-th largest
     value are candidates: an entry below it has k larger ones in the
     window, so it cannot be in the row's top k. The candidates are

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_grid, _as_int, _is_int, _is_real
+from .core import _as_grid, _as_int, _as_ints, _is_real
 
 
 def attention_values(attention) -> np.ndarray:
@@ -71,11 +71,7 @@ class SelectionResult:
     method: str  # iqr | iqr_plus_uniform | sequential | spatial | floor_fallback
 
     def __post_init__(self):
-        idx = tuple(self.indices)
-        if not all(map(_is_int, idx)):
-            bad = next(i for i in idx if not _is_int(i))
-            raise ValueError(f"indices must be integers, got {bad!r}")
-        idx = tuple(int(i) for i in idx)
+        idx = _as_ints("indices", self.indices)
         object.__setattr__(self, "indices", idx)
         if len(idx) < 1:
             raise ValueError("selection must contain at least one index")

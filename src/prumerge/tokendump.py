@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
+import math
 import mmap
 import os
 import stat
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, _as_grid, _is_int, _is_real
+from .core import TokenSet, _as_grid, _as_int, _is_real
 from .fileio import TokenDumpError, write_outputs
 from .selection import SelectionResult
 
@@ -55,6 +57,7 @@ REDUCED_MAGIC = b"PRMR"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIIIII")  # magic, version, n, d, d_k, n_heads, h, w
 _REDUCED_HEADER = struct.Struct("<4sIIII")  # magic, version, m, d, n
+_F4, _U4 = np.dtype("<f4"), np.dtype("<u4")
 
 
 def _write_bytes(data: bytes, destination) -> int:
@@ -133,32 +136,36 @@ def _mapped(fh, size):
     return memoryview(whole)[here:here + size]
 
 
-def _read_dump(source, header: struct.Struct, payload_size):
+def _read_dump(source, header: struct.Struct, layout):
     """Read a dump's header, check the size it declares, then read the
-    payload. ``payload_size`` validates the unpacked header fields and
-    returns the payload byte count they declare. When the source can
-    seek, a wrong size is rejected before any of the payload is read.
-    A regular file's payload is mapped read-only instead of read, so the
-    arrays built on it are views of the page cache, not a private copy.
-    Returns (fields, payload)."""
+    payload. ``layout`` validates the unpacked header fields and returns
+    the payload's arrays as (dtype, shape) pairs in file order. When the
+    source can seek, a wrong size is rejected before any of the payload
+    is read. A regular file's payload is mapped read-only, so the arrays
+    are views of the page cache, not a private copy; any other source is
+    read to its end, since read(size) would allocate a corrupt header's
+    declared size before reading. Returns (fields, arrays), the arrays
+    read-only views of the payload at consecutive offsets."""
     with _opened(source) as fh:
         head = fh.read(header.size)
         if len(head) < header.size:
             raise TokenDumpError("truncated header")
         fields = header.unpack(head)
-        size = payload_size(fields)
+        arrays = layout(fields)
+        sizes = [dtype.itemsize * math.prod(shape) for dtype, shape in arrays]
+        size = sum(sizes)
         expected = header.size + size
         left = _bytes_left(fh)
         if left is not None and left != size:
             raise _size_error(header.size + left, expected)
-        payload = _mapped(fh, size) if left is not None else None
+        payload = _mapped(fh, size)
         if payload is None:
-            # an unseekable source is read to its end: read(size) would
-            # allocate a corrupt header's declared size before reading
-            payload = fh.read(-1 if left is None else size)
+            payload = fh.read()
         if len(payload) != size:
             raise _size_error(header.size + len(payload), expected)
-    return fields, payload
+    offsets = itertools.accumulate(sizes, initial=0)
+    return fields, [np.frombuffer(payload, dtype, math.prod(shape), offset).reshape(shape)
+                    for (dtype, shape), offset in zip(arrays, offsets)]
 
 
 def _check_header(magic, version, expected_magic):
@@ -168,7 +175,7 @@ def _check_header(magic, version, expected_magic):
         raise TokenDumpError(f"unsupported version {version}")
 
 
-def _token_payload_size(fields) -> int:
+def _token_layout(fields):
     magic, version, n, d, d_k, n_heads, h, w = fields
     _check_header(magic, version, MAGIC)
     for name, value in (("n", n), ("d", d), ("d_k", d_k), ("n_heads", n_heads),
@@ -177,59 +184,63 @@ def _token_payload_size(fields) -> int:
             raise TokenDumpError(f"bad dimension {name}={value}")
     if h * w != n:
         raise TokenDumpError(f"grid mismatch: {h}x{w} != n={n}")
-    return 4 * (n_heads * d_k + n_heads * n * d_k + n * d)
+    return [(_F4, (n_heads, d_k)), (_F4, (n_heads, n, d_k)), (_F4, (n, d))]
 
 
 def read_token_dump(source) -> TokenSet:
     """Read and validate a TokenSet from a path or binary file object."""
-    fields, payload = _read_dump(source, _HEADER, _token_payload_size)
-    _, _, n, d, d_k, n_heads, h, w = fields
-    offset = 0
-    arrays = []
-    for count in (n_heads * d_k, n_heads * n * d_k, n * d):
-        arrays.append(np.frombuffer(payload, dtype="<f4", count=count, offset=offset))
-        offset += 4 * count
-    q_cls, K, Y = arrays
+    (*_, h, w), (q_cls, K, Y) = _read_dump(source, _HEADER, _token_layout)
     try:
-        return TokenSet(
-            grid=(h, w),
-            q_cls=q_cls.reshape(n_heads, d_k),
-            K=K.reshape(n_heads, n, d_k),
-            Y=Y.reshape(n, d),
-        )
+        return TokenSet(grid=(h, w), q_cls=q_cls, K=K, Y=Y)
     except ValueError as exc:
         raise TokenDumpError(str(exc)) from exc
 
 
-def write_reduced_dump(tokens: np.ndarray, source_indices, n: int, destination) -> int:
-    """Write a reduced token stack (m x d) with its source indices."""
-    tokens = np.ascontiguousarray(tokens, dtype="<f4")
-    idx = np.ascontiguousarray(source_indices, dtype="<u4")
-    m, d = tokens.shape
-    header = _REDUCED_HEADER.pack(REDUCED_MAGIC, VERSION, m, d, n)
-    return _write_bytes(b"".join((header, idx, tokens)), destination)
-
-
-def _reduced_payload_size(fields) -> int:
+def _reduced_layout(fields):
     magic, version, m, d, _ = fields
     _check_header(magic, version, REDUCED_MAGIC)
-    return 4 * m + 4 * m * d
+    return [(_U4, (m,)), (_F4, (m, d))]
 
 
-def read_reduced_dump(source) -> tuple[np.ndarray, np.ndarray, int]:
-    """Read and validate a reduced dump; returns (tokens, source_indices, n)."""
-    (_, _, m, d, n), payload = _read_dump(source, _REDUCED_HEADER, _reduced_payload_size)
-    # checked after the size, so a corrupt header reads as a size error
+def _check_reduced(m, d, n, idx):
+    """The rules a reduced dump's header and source indices obey: the
+    writer applies them before writing, the reader after the size."""
     if m < 1 or d < 1:
         raise TokenDumpError(f"bad dimension m={m}, d={d}")
     if m > n:
         raise TokenDumpError(f"m={m} exceeds n={n}")
-    idx = np.frombuffer(payload, dtype="<u4", count=m)
     if (idx[1:] <= idx[:-1]).any():
         raise TokenDumpError("source indices are not strictly ascending")
-    if idx[-1] >= n:
-        raise TokenDumpError(f"source index {idx[-1]} out of range for n={n}")
-    tokens = np.frombuffer(payload, dtype="<f4", count=m * d, offset=4 * m).reshape(m, d)
+    for end in (idx[0], idx[-1]):  # they ascend, so only the ends can be out of range
+        if not 0 <= end < n:
+            raise TokenDumpError(f"source index {end} out of range for n={n}")
+
+
+def write_reduced_dump(tokens: np.ndarray, source_indices, n: int, destination) -> int:
+    """Write a reduced token stack (m x d) with its source indices. A
+    dump that ``read_reduced_dump`` would reject is refused with its
+    TokenDumpError before anything is written."""
+    tokens = np.ascontiguousarray(tokens, dtype=_F4)
+    idx = np.asarray(source_indices)
+    m, d = tokens.shape
+    fields = (REDUCED_MAGIC, VERSION, m, d, n)
+    if [idx.shape, tokens.shape] != [shape for _, shape in _reduced_layout(fields)]:
+        raise TokenDumpError(f"source indices of shape {idx.shape} for {m} tokens")
+    _check_reduced(m, d, n, idx)
+    if idx.dtype.kind not in "iu":
+        raise TokenDumpError(f"source indices must be integers, got {idx.dtype}")
+    try:
+        header = _REDUCED_HEADER.pack(*fields)
+    except struct.error as exc:  # n or d beyond uint32
+        raise TokenDumpError(f"cannot write n={n}, d={d}: {exc}") from exc
+    return _write_bytes(b"".join((header, idx.astype(_U4), tokens)), destination)
+
+
+def read_reduced_dump(source) -> tuple[np.ndarray, np.ndarray, int]:
+    """Read and validate a reduced dump; returns (tokens, source_indices, n)."""
+    (_, _, m, d, n), (idx, tokens) = _read_dump(source, _REDUCED_HEADER, _reduced_layout)
+    # checked after the size, so a corrupt header reads as a size error
+    _check_reduced(m, d, n, idx)
     return tokens, idx, n
 
 
@@ -258,9 +269,7 @@ class SynthSpec:
     def __post_init__(self):
         h, w = _as_grid(self.grid)
         for name in ("d", "d_k", "n_heads", "n_spikes", "cluster_count", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _as_int(name, getattr(self, name))
         if min(h, w, self.d, self.d_k, self.n_heads) < 1:
             raise ValueError("all dimensions must be >= 1")
         if not 0 <= self.n_spikes <= h * w:
@@ -339,7 +348,7 @@ def render_mask(selection: SelectionResult, grid: tuple[int, int], format: str =
     ``text`` returns h lines of '#' (selected) / '.' (unselected);
     ``pgm`` returns a binary PGM (P5) image, selected = 255.
     """
-    h, w = grid
+    h, w = _as_grid(grid)
     n = h * w
     if selection.indices[-1] >= n:
         raise ValueError(f"index {selection.indices[-1]} out of grid {h}x{w}")

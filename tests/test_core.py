@@ -210,6 +210,32 @@ class TestKeySimilarity:
         flat = np.concatenate([K[0], K[1]], axis=1)
         assert np.abs(key_similarity(tokens, range(5)) - dot_table(flat)).max() < 1e-6
 
+    @pytest.mark.parametrize("centers, message", [
+        ([4], "center 4 out of range for n=4"),  # was an IndexError
+        ([-1], "center -1 out of range"),  # was token 3's row
+        ([1.5], "centers must be integers"),  # was token 1's row
+        ([True], "centers must be integers"),  # was token 1's row
+        ([np.bool_(True)], "centers must be integers"),
+        ([[0, 1]], "centers must be integers"),
+        (np.array([[0, 1]]), "centers must be integers"),
+        (2, "centers must be a sequence of integers"),
+    ])
+    def test_rejects_centers_that_are_not_token_indices(self, centers, message):
+        tokens = make_tokens(np.eye(4), grid=(2, 2))
+        with pytest.raises(ValueError, match=message):
+            key_similarity(tokens, centers)
+
+    def test_no_centers_give_no_rows(self):
+        # was a ZeroDivisionError
+        rows = key_similarity(make_tokens(np.eye(4), grid=(2, 2)), [])
+        assert rows.shape == (0, 4) and rows.dtype == np.float64
+
+    def test_numpy_integer_centers_accepted(self):
+        tokens = make_tokens(np.random.default_rng(5).normal(size=(6, 3)), grid=(2, 3))
+        rows = key_similarity(tokens, [1, 4])
+        for centers in (np.array([1, 4], np.uint32), [np.int64(1), np.uint8(4)]):
+            assert key_similarity(tokens, centers).tobytes() == rows.tobytes()
+
     @given(st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_positive_semidefinite(self, seed):

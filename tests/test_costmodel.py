@@ -131,6 +131,33 @@ class TestCostComparison:
         with pytest.raises(ValueError):
             cost_comparison(model_preset("7b"), hardware_preset("v100"), 80, 616)
 
+    @pytest.mark.parametrize("n_full, n_reduced, message", [
+        (576.5, 80, "n_full must be an integer, got 576.5"),  # was reported as 576.5
+        (True, False, "n_full must be an integer, got True"),  # was a token_ratio of 0.0
+        (616, np.float64(80), "n_reduced must be an integer"),
+        (616, -3, "n_reduced must be nonnegative"),
+    ])
+    def test_counts_must_be_nonnegative_integers(self, n_full, n_reduced, message):
+        with pytest.raises(ValueError, match=message):
+            cost_comparison(model_preset("7b"), hardware_preset("v100"), n_full, n_reduced)
+
+    def test_numpy_counts_report_python_ints(self):
+        # an np.int64 count made a report that json could not serialise
+        def as_json(full, reduced, savings):
+            return json.dumps([full.to_dict(), reduced.to_dict(), savings])
+
+        model, hw = model_preset("7b"), hardware_preset("v100")
+        assert (as_json(*cost_comparison(model, hw, np.int64(616), np.uint16(80)))
+                == as_json(*cost_comparison(model, hw, 616, 80)))
+
+
+@pytest.mark.parametrize("n_tokens", [576.5, 2.0, True, np.bool_(True), "5", None])
+@pytest.mark.parametrize("stage", [prefill_flops, memory_footprint, cost_report])
+def test_token_count_rejects_bool_and_non_integers(stage, n_tokens):
+    args = (hardware_preset("v100"),) if stage is cost_report else ()
+    with pytest.raises(ValueError, match="n_tokens must be an integer"):
+        stage(model_preset("7b"), *args, n_tokens)
+
 
 class TestProfiles:
     def test_unknown_presets(self):

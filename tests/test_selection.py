@@ -7,6 +7,7 @@ from prumerge import (
     SelectionResult,
     iqr_fences,
     quartiles,
+    render_mask,
     select_outliers,
     sequential_baseline,
     spatial_grid_baseline,
@@ -232,6 +233,7 @@ GRID_STAGES = {
     "spatial_grid_baseline": lambda grid: spatial_grid_baseline(grid, 2, 2),
     "uniform_spatial_supplement": lambda grid: uniform_spatial_supplement(
         select_outliers_from([0], 16), grid, 0.25),
+    "render_mask": lambda grid: render_mask(select_outliers_from([0], 16), grid),
 }
 
 

@@ -200,37 +200,53 @@ class TestMappedReads:
     @pytest.mark.parametrize("kind", ["path", "file", "file-after-prefix", "unbuffered",
                                       "bytesio", "gzip",
                                       pytest.param("fifo", marks=needs_fifo)])
-    def test_every_source_reads_the_same_tokens(self, tmp_path, tokens, kind):
-        data = io_bytes(tokens)
-        path = tmp_path / "t.prmg"
+    @pytest.mark.parametrize("fmt", ["prmg", "prmr"])
+    def test_every_source_reads_the_same_tokens(self, tmp_path, tokens, fmt, kind):
+        if fmt == "prmg":
+            read, expected = read_token_dump, [tokens.q_cls, tokens.K, tokens.Y]
+            data = io_bytes(tokens)
+        else:
+            read, expected = read_reduced_dump, [tokens.Y[[1, 5, 40]], np.uint32([1, 5, 40])]
+            buf = io.BytesIO()
+            write_reduced_dump(expected[0], expected[1], tokens.n, buf)
+            data = buf.getvalue()
+        path = tmp_path / f"t.{fmt}"
         path.write_bytes(b"prefix" + data if kind == "file-after-prefix" else data)
         writer = None
         if kind == "path":
-            back = read_token_dump(path)
+            back = read(path)
         elif kind in ("file", "file-after-prefix", "unbuffered"):
             with open(path, "rb", buffering=0 if kind == "unbuffered" else -1) as fh:
                 if kind == "file-after-prefix":
                     fh.read(6)
-                back = read_token_dump(fh)
+                back = read(fh)
                 assert fh.tell() == path.stat().st_size  # moved past the payload
         elif kind == "bytesio":
-            back = read_token_dump(io.BytesIO(data))
+            back = read(io.BytesIO(data))
         elif kind == "gzip":
             # reports the compressed file's descriptor; its bytes are not the dump's
             gz = pytest.importorskip("gzip")
             with gz.open(path.with_suffix(".gz"), "wb") as fh:
                 fh.write(data)
             with gz.open(path.with_suffix(".gz"), "rb") as fh:
-                back = read_token_dump(fh)
+                back = read(fh)
         else:
             path.unlink()
             os.mkfifo(path)
             writer = threading.Thread(target=path.write_bytes, args=(data,))
             writer.start()
-            back = read_token_dump(path)
+            back = read(path)
             writer.join(timeout=10)
             assert not writer.is_alive()
-        assert_same_tokens(back, tokens)
+        if fmt == "prmg":
+            assert back.grid == tokens.grid
+            back = [back.q_cls, back.K, back.Y]
+        else:
+            *back, n = back
+            assert n == tokens.n
+        for got, want in zip(back, expected, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
     def test_mapped_arrays_are_read_only_and_outlive_the_file(self, tmp_path, tokens):
         path = tmp_path / "t.prmg"
@@ -459,11 +475,40 @@ class TestReducedDump:
         ((2, 0), [0, 1], 4, "bad dimension"),
     ], ids=["m>n", "index>=n", "descending", "repeated", "m=0", "d=0"])
     def test_inconsistent_dump_rejected(self, shape, indices, n, message):
-        buf = io.BytesIO()
-        write_reduced_dump(np.zeros(shape, np.float32), indices, n, buf)
-        buf.seek(0)
+        tokens = np.zeros(shape, np.float32)
+        data = (struct.pack("<4sIIII", b"PRMR", 1, *shape, n)
+                + np.asarray(indices, "<u4").tobytes() + tokens.tobytes())
         with pytest.raises(TokenDumpError, match=message):
-            read_reduced_dump(buf)
+            read_reduced_dump(io.BytesIO(data))
+        buf = io.BytesIO()
+        with pytest.raises(TokenDumpError, match=message):
+            write_reduced_dump(tokens, indices, n, buf)
+        assert buf.getvalue() == b""
+
+    @pytest.mark.parametrize("shape, indices, n, message", [
+        # unchecked, this wrote a 48-byte file that its reader called truncated
+        ((2, 3), [0], 4, r"source indices of shape \(1,\) for 2 tokens"),
+        ((2, 3), [[0], [1]], 4, r"source indices of shape \(2, 1\) for 2 tokens"),
+        ((1, 3), [7], 5, "source index 7 out of range for n=5"),
+        ((2, 3), [3, 1], 5, "not strictly ascending"),
+        ((1, 3), [0], -1, "m=1 exceeds n=-1"),  # was a struct.error
+        ((1, 3), [-1], 5, "source index -1 out of range for n=5"),  # was an OverflowError
+        ((1, 3), [2**32], 2**33, "cannot write n=8589934592"),
+        ((2, 3), [0.0, 1.5], 4, "source indices must be integers"),
+        ((2, 3), [False, True], 4, "source indices must be integers"),
+    ])
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, shape, indices, n, message):
+        path = tmp_path / "t.prmr"
+        with pytest.raises(TokenDumpError, match=message):
+            write_reduced_dump(np.zeros(shape, np.float32), indices, n, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_indices_and_n_accepted(self):
+        tokens = np.arange(6, dtype=np.float32).reshape(2, 3)
+        plain, wide = io.BytesIO(), io.BytesIO()
+        write_reduced_dump(tokens, [4, 9], 16, plain)
+        write_reduced_dump(tokens, np.array([4, 9], np.uint64), np.int64(16), wide)
+        assert wide.getvalue() == plain.getvalue()
 
 
 class TestSynthGenerate:
@@ -497,6 +542,7 @@ class TestSynthGenerate:
     @pytest.mark.parametrize("field, value", [
         ("grid", (4.0, 4)), ("grid", (4, True)), ("d", 2.5), ("d_k", True),
         ("n_heads", 1.0), ("n_spikes", True), ("cluster_count", 2.0), ("seed", 1.5),
+        ("d", np.bool_(True)), ("seed", "1"), ("n_spikes", None),
     ])
     def test_integer_fields_reject_other_values(self, field, value):
         fields = {"grid": (4, 4), "d": 2, "d_k": 2, field: value}
