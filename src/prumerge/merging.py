@@ -6,18 +6,19 @@ attention-weighted average of the cluster's embeddings. Weights are
 normalized within each cluster by default so the merged embedding keeps
 the scale of its members; an unnormalized mode is available for
 comparison. Every shape is ranked by one loop over the windows of
-similarity rows that ``core._similarity_windows`` picks: each row keeps
-a running top k, a window's candidates (its entries at or above that
-window's k-th largest value) go behind it, and one stable sort keeps
-the first k. The windows hold a key
-block, the centers' float64 keys and one window, each bounded by a
-byte budget or by the centers' own keys, and the ranking O(m·k) more,
-nothing of size m·n. The clusters are then merged over blocks of
-centers; a center whose k members' embeddings exceed the merge budget
-is merged one slab of embedding columns at a time, and every column
-still sums its members in the same order, so the result does not
-depend on the slabs. A floor-fallback image (one center, k = n) thus
-never copies all of the embeddings.
+similarity rows that ``core._similarity_windows`` picks and fills (on
+a large image, each key block's product split across threads by column
+ranges, with the bytes of the serial product): each row keeps a running
+top k, a window's candidates (its entries at or above that window's
+k-th largest value) go behind it, and one stable sort keeps the first
+k. The windows hold a key block, the centers' float64 keys and one
+window, each bounded by a byte budget or by the centers' own keys, and
+the ranking O(m·k) more, nothing of size m·n. The clusters are then
+merged over blocks of centers; a center whose k members' embeddings
+exceed the merge budget is merged one slab of embedding columns at a
+time, and every column still sums its members in the same order, so
+the result does not depend on the slabs. A floor-fallback image (one
+center, k = n) thus never copies all of the embeddings.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from prumerge import (
     write_token_dump,
 )
 from prumerge.cli import cli_main
+from prumerge.tokendump import demo_corpus_specs
 
 
 def run(args):
@@ -602,6 +603,29 @@ class TestEntryPoint:
         child = subprocess.run([sys.executable, "-c", script] + args, cwd=tmp_path,
                                capture_output=True, text=True, env=child_env(), timeout=120)
         assert child.stderr.splitlines()[-1] == f"{code} False", child.stderr
+
+    @pytest.mark.parametrize("spec, blas", [
+        (demo_corpus_specs()[0], {"OPENBLAS_NUM_THREADS": "1"}),
+        (SynthSpec(grid=(120, 24), d=1024, d_k=64, n_heads=16, n_spikes=32, seed=1), {}),
+    ], ids=["demo-corpus", "anyres-blas-unpinned"])
+    def test_reduce_without_a_split_starts_no_threads(self, tmp_path, spec, blas):
+        # a demo-corpus image is too small to split, and with BLAS free to
+        # use every CPU nothing is split: no pool, no worker thread, and
+        # not the import of concurrent.futures either
+        write_token_dump(synth_generate(spec), tmp_path / "t.prmg")
+        script = ("import runpy, sys, threading\n"
+                  "try:\n"
+                  "    runpy.run_module('prumerge.cli', run_name='__main__', alter_sys=True)\n"
+                  "except SystemExit as exc:\n"
+                  "    print(exc.code, 'concurrent.futures' in sys.modules,\n"
+                  "          threading.active_count(), file=sys.stderr)\n")
+        env = {k: v for k, v in child_env().items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        child = subprocess.run([sys.executable, "-c", script, "reduce", "--input", "t.prmg",
+                                "--mode", "prumerge+", "--out", "r.prmr"], cwd=tmp_path,
+                               capture_output=True, text=True, env={**env, **blas}, timeout=120)
+        assert child.stderr.splitlines()[-1] == "0 False 1", child.stderr
+        assert (tmp_path / "r.prmr").exists()
 
     def test_package_exports_follow_their_modules(self, monkeypatch):
         # a tracer rebinds names on their modules and puts them back, so

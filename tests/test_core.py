@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import prumerge.core
 from prumerge import (
     PipelineConfig,
     TokenSet,
@@ -14,7 +16,14 @@ from prumerge import (
     reduce_tokens,
     scaled_softmax,
 )
-from prumerge.core import _SIMILARITY_BLOCK_BYTES, _similarity_windows
+from prumerge.core import (
+    _PART_WORK,
+    _SIMILARITY_BLOCK_BYTES,
+    _in_parallel,
+    _parts,
+    _similarity_windows,
+    _usable_workers,
+)
 from oracles import dot_table, softmax_direct
 
 finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False)
@@ -326,3 +335,56 @@ def test_last_window_holds_no_key_block_or_center_keys(n, grid, m, windows):
         tracemalloc.stop()
     assert len(widths) == windows
     assert held < 8 * m * widths[0] + 1024 * m
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("units, unit_work, align", [
+    (2, 1 << 20, 1), (2, 1 << 19, 1), (16, 2880 * 64, 1), (16, 576 * 64, 1),
+    (240, 82 * 1024, 8), (192, 64 * 1024, 8), (243, 52 * 1024, 8), (5, 1 << 30, 8)])
+def test_parts_cover_the_units_in_aligned_ranges_of_enough_work(monkeypatch, workers,
+                                                                units, unit_work, align):
+    monkeypatch.setattr(prumerge.core, "_WORKERS", workers)
+    parts = _parts(units, unit_work, align)
+    starts = [a for a, _ in parts]
+    assert starts[0] == 0 and [b for _, b in parts] == starts[1:] + [units]
+    assert all(a < b for a, b in parts)
+    assert len(parts) <= workers
+    if len(parts) > 1:
+        assert all(a % align == 0 and (b - a) * unit_work >= _PART_WORK for a, b in parts)
+
+
+def test_in_parallel_runs_every_call_and_raises_the_first_error(monkeypatch):
+    monkeypatch.setattr(prumerge.core, "_WORKERS", 3)
+    done = []
+
+    def call(tag, error=None):
+        def run():
+            done.append(tag)
+            if error is not None:
+                raise error(tag)
+        return run
+
+    with pytest.raises(KeyError, match="b"):
+        _in_parallel([call("a"), call("b", KeyError), call("c", ValueError)])
+    with pytest.raises(ValueError, match="d"):
+        _in_parallel([call("d", ValueError), call("e", KeyError)])
+    assert sorted(done) == ["a", "b", "c", "d", "e"]
+
+
+@pytest.mark.parametrize("env, split", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OMP_NUM_THREADS": "4"}, False),
+    ({}, False),
+], ids=repr)
+def test_passes_split_across_the_usable_cpus_only_with_blas_on_one_thread(monkeypatch, env,
+                                                                          split):
+    # BLAS on more threads already uses the CPUs; one usable CPU (say
+    # under taskset) gives one worker either way
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert _usable_workers() == (cpus if split else 1)
