@@ -272,6 +272,9 @@ def class_attention(tokens: TokenSet) -> np.ndarray:
 _SIMILARITY_BLOCK_BYTES = 2 << 20
 # float64 similarity rows computed at once (see _similarity_windows)
 _SIMILARITY_WINDOW_BYTES = 512 << 10
+# float64 rows partitioned at once to find each row's k-th value; at
+# least one row
+_PARTITION_BLOCK_BYTES = 64 << 10
 
 
 def key_similarity(tokens: TokenSet, centers) -> np.ndarray:
@@ -280,20 +283,25 @@ def key_similarity(tokens: TokenSet, centers) -> np.ndarray:
 
     With multiple heads, the similarity is the dot product of each
     token's concatenated per-head keys (equal to the sum of the per-head
-    dot products). The rows are filled from ``_similarity_windows``,
-    which documents how they are computed, so they equal bit for bit the
-    rows the merge ranks. ``centers`` must be a sequence of integers in
-    [0, n), numpy's included but not bools, or it is a ValueError; no
-    centers give a (0, n) array.
+    dot products). The rows come from ``_similarity_windows``, which
+    documents how they are computed, so they equal bit for bit the rows
+    ``_nearest`` ranks; when one window covers every key it is returned
+    as it is, so only one (m, n) array is held. ``centers`` must be a
+    sequence of integers in [0, n), numpy's included but not bools, or
+    it is a ValueError; no centers give a (0, n) array.
     """
     centers = _as_ints("centers", centers)
     bad = [c for c in centers if not 0 <= c < tokens.n]
     if bad:
         raise ValueError(f"center {bad[0]} out of range for n={tokens.n}")
-    similarity = np.empty((len(centers), tokens.n))
-    if centers:
-        for start, rows in _similarity_windows(tokens, centers):
-            similarity[:, start:start + rows.shape[1]] = rows
+    if not centers:
+        return np.empty((0, tokens.n))
+    for start, rows in _similarity_windows(tokens, centers):
+        if rows.shape[1] == tokens.n:
+            return rows
+        if start == 0:
+            similarity = np.empty((len(centers), tokens.n))
+        similarity[:, start:start + rows.shape[1]] = rows
     return similarity
 
 
@@ -329,8 +337,12 @@ def _similarity_windows(tokens: TokenSet, centers):
     token's key (over all heads, with -0.0 equal to 0.0) is given that
     earlier token's column, kept from the earlier token's own window:
     identical keys get exactly equal similarities and rank by lower
-    index. The windows share one buffer, so each is valid until the next
-    is asked for.
+    index.
+
+    Only this module reads the windows. They share one buffer, valid
+    until the next window is asked for, which the reader may overwrite:
+    the columns kept for equal keys are copied out first. The key block
+    and the centers' float64 keys are freed before the last window.
     """
     centers = np.asarray(centers, dtype=np.intp)
     n_heads, n, d_k = tokens.K.shape
@@ -368,10 +380,61 @@ def _similarity_windows(tokens: TokenSet, centers):
         lo, hi = np.searchsorted(dup, (start, stop))
         window[:, dup[lo:hi] - start] = kept[:, slot[lo:hi]]
         if stop == n:
-            # nothing is cast after the last window, so the key block and the
-            # centers' keys are not held while the caller ranks it
             del buf, rows, kept
         yield start, window
+
+
+def _nearest(tokens, centers, k):
+    """Each center's k most key-similar tokens, largest first, ties by
+    lower index: the first k columns of a stable descending sort of its
+    similarity row, kept as one running top k over windows of the row.
+
+    The rows come one window of key columns at a time from
+    ``_similarity_windows``, at every shape, and each window is negated
+    in place. Only a window's entries at or above its k-th largest value
+    are candidates: an entry below it has k larger ones in the window,
+    so it cannot be in the row's top k. The candidates are copied, in
+    column order, into rows padded with +inf behind the running top k,
+    and one stable sort keeps each row's first k. The running entries
+    come first and have lower columns, so ties still go to the lower
+    index. Besides the windows, the ranking holds O(m·k) entries,
+    nothing of size m·n.
+    """
+    m = centers.size
+    values = np.empty((m, 0))
+    columns = np.empty((m, 0), dtype=np.intp)
+    for start, rows in _similarity_windows(tokens, centers):
+        negated = np.negative(rows, out=rows)
+        w = rows.shape[1]
+        hit = np.flatnonzero(negated <= _kth_smallest(negated, min(k, w)))  # row-major
+        row, column = np.divmod(hit, w)
+        counts = np.bincount(row, minlength=m)
+        kept = values.shape[1]
+        span = kept + counts.max()
+        # flat positions in joined: each row's candidates behind its running top k
+        slot = np.arange(kept, kept + hit.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        slot += row * span
+        joined = np.full((m, span), np.inf)
+        at = np.empty(joined.shape, dtype=np.intp)  # a +inf pad ranks last, never returned
+        joined[:, :kept], at[:, :kept] = values, columns
+        joined.ravel()[slot], at.ravel()[slot] = negated.ravel()[hit], column + start
+        del hit, row, column, slot  # freed before the sort allocates as many again
+        order = np.argsort(joined, axis=1, kind="stable")[:, :k]
+        order += np.arange(0, joined.size, span)[:, None]  # flat, as slot
+        values, columns = joined.ravel()[order], at.ravel()[order]
+    return columns
+
+
+def _kth_smallest(a, k):
+    """Each row's k-th smallest value, as an (m, 1) column. The rows are
+    partitioned a block of about ``_PARTITION_BLOCK_BYTES`` at a time, so
+    the partitioned copy never holds more than one block."""
+    kth = np.empty((a.shape[0], 1), dtype=a.dtype)
+    step = max(1, _PARTITION_BLOCK_BYTES // (a.itemsize * a.shape[1]))
+    for start in range(0, a.shape[0], step):
+        block = a[start:start + step]
+        kth[start:start + step, 0] = np.partition(block, k - 1, axis=1)[:, k - 1]
+    return kth
 
 
 def _cast_product(rows, K, keys, out):

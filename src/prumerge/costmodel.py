@@ -13,6 +13,7 @@ Accounting conventions (pinned for reproducibility):
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
@@ -34,6 +35,38 @@ __all__ = [
 ACTIVATION_BYTES = 2.0  # FP16 activations in all modes
 
 
+def _check_number(name, value, kind) -> None:
+    """A ValueError unless value is a ``kind`` (numbers.Integral or
+    numbers.Real) that is not a bool and is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"{name} is too large for a float") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_fields(profile, integers=(), reals=()) -> None:
+    """A ValueError unless the profile's name is a string, the fields
+    named in integers hold integers and those in reals real numbers."""
+    if not isinstance(profile.name, str):
+        raise ValueError(f"name must be a string, got {profile.name!r}")
+    for name in integers:
+        _check_number(name, getattr(profile, name), numbers.Integral)
+    for name in reals:
+        _check_number(name, getattr(profile, name), numbers.Real)
+
+
+def _finite(value: float, what: str) -> float:
+    """value, or a ValueError when it is not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows a float")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelProfile:
     name: str
@@ -47,6 +80,8 @@ class ModelProfile:
     bytes_per_param: float = 2.0
 
     def __post_init__(self):
+        _check_fields(self, integers=("n_layers", "d_model", "d_ff", "n_vocab", "n_heads"),
+                      reals=("n_params", "bytes_per_param"))
         if min(self.n_layers, self.d_model, self.d_ff, self.n_vocab, self.n_heads) < 1:
             raise ValueError("model dimensions must be positive")
         if self.n_params <= 0:
@@ -64,6 +99,7 @@ class HardwareProfile:
     mem_bandwidth: float  # byte/s
 
     def __post_init__(self):
+        _check_fields(self, reals=("peak_flops", "mem_bandwidth"))
         if self.peak_flops <= 0 or self.mem_bandwidth <= 0:
             raise ValueError("hardware rates must be positive")
 
@@ -128,9 +164,6 @@ def _load_profile(cls, path, **overrides):
     missing = sorted(k for k, f in known.items() if f.default is MISSING and k not in data)
     if unknown or missing:
         raise ValueError(f"{path}: unknown keys {unknown}, missing keys {missing}")
-    numeric = [k for k, f in known.items() if f.type in ("int", "float")]
-    if any(type(data.get(k, 0)) not in (int, float) for k in numeric):
-        raise ValueError(f"{path}: {', '.join(numeric)} must be numbers")
     return cls(**data)
 
 
@@ -156,9 +189,8 @@ def _ffn_factor(model: ModelProfile) -> int:
 
 def _token_count(name, value) -> int:
     """value as a Python int; a ValueError unless it is a nonnegative
-    integer, numpy's included, that is not a bool."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    integer, numpy's included, that is not a bool and fits a float."""
+    _check_number(name, value, numbers.Integral)
     if value < 0:
         raise ValueError(f"{name} must be nonnegative")
     return int(value)
@@ -173,7 +205,7 @@ def prefill_flops(model: ModelProfile, n_tokens: int) -> float:
     """
     n, d = float(_token_count("n_tokens", n_tokens)), float(model.d_model)
     per_layer = 8.0 * n * d * d + 4.0 * n * n * d + _ffn_factor(model) * n * d * model.d_ff
-    return model.n_layers * per_layer + 2.0 * n * d * model.n_vocab
+    return _finite(model.n_layers * per_layer + 2.0 * n * d * model.n_vocab, "the FLOP count")
 
 
 def memory_footprint(model: ModelProfile, n_tokens: int) -> tuple[float, float, float]:
@@ -192,14 +224,16 @@ def memory_footprint(model: ModelProfile, n_tokens: int) -> tuple[float, float, 
     ffn_tensors = 4 if model.ffn_kind == "gated_three_matrix" else 2
     per_layer = 10.0 * n * d + ffn_tensors * n * model.d_ff + 2.0 * model.n_heads * n * n
     activation = model.n_layers * per_layer * ACTIVATION_BYTES
-    return weights + kv + activation, activation, kv
+    # every part is nonnegative, so a finite total has finite parts
+    return _finite(weights + kv + activation, "the memory footprint"), activation, kv
 
 
 def roofline_time(flops: float, moved_bytes: float, hw: HardwareProfile) -> float:
     """max(compute-bound, memory-bound) execution time in seconds."""
-    if flops < 0 or moved_bytes < 0:
+    if not (flops >= 0 and moved_bytes >= 0):  # NaN fails both comparisons
         raise ValueError("flops and moved_bytes must be nonnegative")
-    return max(flops / hw.peak_flops, moved_bytes / hw.mem_bandwidth)
+    time = max(flops / hw.peak_flops, moved_bytes / hw.mem_bandwidth)
+    return _finite(time, "the roofline time")
 
 
 def cost_report(model: ModelProfile, hw: HardwareProfile, n_tokens: int) -> CostReport:

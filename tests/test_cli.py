@@ -467,7 +467,11 @@ _7B = dict(costmodel._MODEL_PRESETS["7b"])
     ("model", {**_7B, "n_experts": 8}),
     ("model", [_7B]),
     ("model", {**_7B, "n_layers": "32"}),
+    ("model", {**_7B, "n_params": float("nan")}),  # was written into the report
+    ("model", {**_7B, "n_layers": 32.5}),  # was accepted
     ("hw", {"peak_flops": 112e12}),
+    ("hw", {"peak_flops": float("inf"), "mem_bandwidth": 900e9}),  # was accepted
+    ("hw", {"peak_flops": float("inf"), "mem_bandwidth": float("inf")}),  # was a traceback
     ("stats", {"n": 576, "m": 0}),
     ("stats", [576, 32]),
     ("stats", {"n": "576", "m": 32}),
@@ -483,7 +487,8 @@ def test_malformed_data_file_is_data_error(tmp_path, capsys, command, content):
         argv = ["cost", "--model", profiles["model"], "--hw", profiles["hw"],
                 "--tokens-full", "616", "--tokens-reduced", "80", "--report", str(report)]
     assert run(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
     assert not report.exists()
 
 
@@ -494,6 +499,9 @@ def test_malformed_data_file_is_data_error(tmp_path, capsys, command, content):
     ["cost", "--model", "7b", "--tokens-full", "0", "--tokens-reduced", "0"],
     ["cost", "--model", "7b", "--tokens-full", "616", "--tokens-reduced", "-3"],
     ["cost", "--model", "7b", "--tokens-full", "80", "--tokens-reduced", "616"],
+    # figures past the float range: an OverflowError, then NaN and Infinity in the report
+    ["cost", "--model", "7b", "--tokens-full", str(10 ** 400), "--tokens-reduced", "80"],
+    ["cost", "--model", "7b", "--tokens-full", str(10 ** 200), "--tokens-reduced", "80"],
     ["synth", "--grid", "4x4", "--d", "2", "--dk", "2", "--spikes", "1", "--gain", "nan"],
     ["synth", "--grid", "4x4", "--d", "2", "--dk", "2", "--spikes", "1", "--gain", "inf"],
     ["synth", "--grid", "4x4", "--d", "2", "--dk", "2", "--spikes", "1", "--gain", "1e39"],
@@ -502,7 +510,8 @@ def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out"
     target = ["--seed", "0", "--out", str(out)] if argv[0] == "synth" else ["--report", str(out)]
     assert run(argv + target) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
     assert not out.exists()
 
 

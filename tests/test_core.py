@@ -337,6 +337,29 @@ def test_last_window_holds_no_key_block_or_center_keys(n, grid, m, windows):
     assert held < 8 * m * widths[0] + 1024 * m
 
 
+def test_one_window_is_the_similarity_not_a_copy_of_it(monkeypatch):
+    # one window covers all 576 ViT-L keys for 64 centers; returning it
+    # holds one (m, n) array where filling a second from it held two
+    n, m = 576, 64
+    rng = np.random.default_rng(m)
+    tokens = TokenSet(grid=(24, 24), q_cls=np.zeros((16, 64)),
+                      K=rng.standard_normal((16, n, 64), dtype=np.float32), Y=np.zeros((n, 1)))
+    key_similarity(tokens, range(m))  # starts any worker threads before the trace
+    tracemalloc.start()
+    try:
+        similarity = key_similarity(tokens, range(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float64 key block (3 x 192 tokens) and the centers' float64 keys
+    work = 8 * 16 * 64 * (192 + m)
+    assert peak < work + 1.5 * similarity.nbytes
+    # windows of one key block each are copied into the rows, with equal bytes
+    monkeypatch.setattr(prumerge.core, "_SIMILARITY_WINDOW_BYTES", 8 * m * 192)
+    assert [rows.shape[1] for _, rows in _similarity_windows(tokens, range(m))] == [192] * 3
+    assert key_similarity(tokens, range(m)).tobytes() == similarity.tobytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("units, unit_work, align", [
     (2, 1 << 20, 1), (2, 1 << 19, 1), (16, 2880 * 64, 1), (16, 576 * 64, 1),

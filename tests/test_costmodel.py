@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from prumerge import (
     HardwareProfile,
+    ModelProfile,
     cost_comparison,
     cost_report,
     hardware_preset,
@@ -103,6 +105,13 @@ class TestRooflineTime:
         with pytest.raises(ValueError):
             HardwareProfile("bad", peak_flops=0, mem_bandwidth=1e9)
 
+    @pytest.mark.parametrize("flops, moved_bytes", [(-1.0, 0.0), (0.0, -1.0),
+                                                    (float("nan"), 1.0), (1.0, float("nan"))])
+    def test_negative_or_nan_work_rejected(self, flops, moved_bytes):
+        # a NaN byte count was dropped by max(), giving the compute-bound time
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            roofline_time(flops, moved_bytes, hardware_preset("v100"))
+
     def test_monotone(self):
         hw = hardware_preset("v100")
         t = [roofline_time(f, b, hw)
@@ -189,3 +198,19 @@ class TestProfiles:
     def test_invalid_profile_values(self):
         with pytest.raises(ValueError):
             model_preset("7b", bytes_per_param=3.0)
+
+    @pytest.mark.parametrize("cls, field, value, message", [
+        (ModelProfile, "n_layers", True, "n_layers must be an integer, got True"),
+        (ModelProfile, "n_layers", 32.5, "n_layers must be an integer, got 32.5"),
+        (ModelProfile, "d_model", 10 ** 400, "d_model is too large for a float"),
+        (ModelProfile, "n_params", float("nan"), "n_params must be finite, got nan"),
+        (ModelProfile, "bytes_per_param", True, "bytes_per_param must be a real number"),
+        (ModelProfile, "name", 7, "name must be a string, got 7"),
+        (HardwareProfile, "peak_flops", float("inf"), "peak_flops must be finite, got inf"),
+        (HardwareProfile, "mem_bandwidth", False, "mem_bandwidth must be a real number"),
+    ], ids=["bool-int", "non-integer", "huge-int", "nan", "bool-real", "name", "inf", "bool-rate"])
+    def test_profiles_built_in_python_check_every_field(self, cls, field, value, message):
+        # all but the bool bandwidth (rejected as not positive) were accepted
+        preset = model_preset("7b") if cls is ModelProfile else hardware_preset("v100")
+        with pytest.raises(ValueError, match=message):
+            cls(**{**dataclasses.asdict(preset), field: value})

@@ -23,9 +23,11 @@ from prumerge.core import (
     _SIMILARITY_BLOCK_BYTES,
     _SIMILARITY_WINDOW_BYTES,
     _equal_key_columns,
+    _kth_smallest,
+    _nearest,
     _similarity_windows,
 )
-from prumerge.merging import _MERGE_BLOCK_BYTES, _kth_smallest, _nearest
+from prumerge.merging import _MERGE_BLOCK_BYTES
 from prumerge.selection import SelectionResult
 from prumerge.tokendump import demo_corpus_specs
 from oracles import merge_oracle
@@ -162,13 +164,13 @@ class TestTokenSupplement:
 
     def test_k1_never_ranks(self, monkeypatch):
         calls = []
-        original = prumerge.merging._similarity_windows
+        original = prumerge.core._similarity_windows
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(prumerge.merging, "_similarity_windows", counting)
+        monkeypatch.setattr(prumerge.core, "_similarity_windows", counting)
         tokens = tokens_from(np.random.default_rng(6).normal(size=(9, 4)),
                              np.zeros((9, 2), np.float32), grid=(3, 3))
         result = token_supplement(selection_of([2, 5]), tokens, uniform_attention(9), k=1)
@@ -575,7 +577,7 @@ def test_row_blocked_kth_values_equal_a_whole_partition(monkeypatch, budget):
     # small integers: many ties, and the k-th value often sits among them;
     # a budget under one row still partitions one row at a time
     a = np.random.default_rng(3).integers(-3, 4, size=(37, 11)).astype(np.float64)
-    monkeypatch.setattr(prumerge.merging, "_PARTITION_BLOCK_BYTES", budget)
+    monkeypatch.setattr(prumerge.core, "_PARTITION_BLOCK_BYTES", budget)
     for k in range(1, 12):
         kth = _kth_smallest(a, k)
         assert kth.shape == (37, 1)
