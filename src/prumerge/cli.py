@@ -185,14 +185,10 @@ def _cmd_synth(args) -> int:
 def _cmd_cost(args) -> int:
     # a profile keeps its own bytes_per_param unless --int4 overrides it
     int4 = {"bytes_per_param": 0.5} if args.int4 else {}
-    if args.model.lower() in _MODEL_PRESETS:
-        model = model_preset(args.model, **int4)
-    else:
-        model = load_model_profile(args.model, **int4)
-    if args.hw.lower() in _HW_PRESETS:
-        hw = hardware_preset(args.hw)
-    else:
-        hw = load_hardware_profile(args.hw)
+    load = model_preset if args.model.lower() in _MODEL_PRESETS else load_model_profile
+    model = load(args.model, **int4)
+    load = hardware_preset if args.hw.lower() in _HW_PRESETS else load_hardware_profile
+    hw = load(args.hw)
     with _flag_values():
         full, reduced, savings = cost_comparison(
             model, hw, args.tokens_full, args.tokens_reduced

@@ -8,12 +8,13 @@ reductions (softmax sums, dot products) accumulate at double precision.
 from __future__ import annotations
 
 import functools
-import numbers
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._args import _as_grid, _as_ints
 
 __all__ = [
     "TokenSet",
@@ -23,54 +24,11 @@ __all__ = [
 ]
 
 
-def _is_int(value) -> bool:
-    """An integer, numpy's included, that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A real number, numpy's included, that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _as_int(name, value) -> int:
-    """value as a Python int, so numpy's narrow integers cannot overflow
-    later; a ValueError unless ``_is_int(value)``."""
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _as_ints(name, values) -> tuple[int, ...]:
-    """values as a tuple of Python ints; a ValueError unless values is a
-    sequence and ``_is_int`` holds for every entry."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
-    bad = [value for value in values if not _is_int(value)]
-    if bad:
-        raise ValueError(f"{name} must be integers, got {bad[0]!r}")
-    return tuple(map(int, values))
-
-
 def _as_bool(name, value) -> bool:
     """value as a Python bool; a ValueError unless it is one or numpy's."""
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a bool, got {value!r}")
     return bool(value)
-
-
-def _as_grid(grid) -> tuple[int, int]:
-    """grid as two Python ints, so h * w cannot overflow; a ValueError
-    unless ``_is_int`` holds for both."""
-    try:
-        h, w = grid
-    except (TypeError, ValueError):
-        h = w = None
-    if not (_is_int(h) and _is_int(w)):
-        raise ValueError(f"grid must be two integers, got {grid!r}")
-    return int(h), int(w)
 
 
 def _usable_workers() -> int:

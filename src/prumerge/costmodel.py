@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
+
+from ._args import _as_finite
 
 __all__ = [
     "ModelProfile",
@@ -35,29 +36,14 @@ __all__ = [
 ACTIVATION_BYTES = 2.0  # FP16 activations in all modes
 
 
-def _check_number(name, value, kind) -> None:
-    """A ValueError unless value is a ``kind`` (numbers.Integral or
-    numbers.Real) that is not a bool and is finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a real number"
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer past the float range
-        raise ValueError(f"{name} is too large for a float") from None
-    if not finite:
-        raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def _check_fields(profile, integers=(), reals=()) -> None:
-    """A ValueError unless the profile's name is a string, the fields
-    named in integers hold integers and those in reals real numbers."""
+    """A ValueError unless the profile's name is a string and each field
+    passes ``_as_finite``; the fields are stored back as Python numbers."""
     if not isinstance(profile.name, str):
         raise ValueError(f"name must be a string, got {profile.name!r}")
-    for name in integers:
-        _check_number(name, getattr(profile, name), numbers.Integral)
-    for name in reals:
-        _check_number(name, getattr(profile, name), numbers.Real)
+    for name in (*integers, *reals):
+        value = _as_finite(name, getattr(profile, name), integer=name in integers)
+        object.__setattr__(profile, name, value)
 
 
 def _finite(value: float, what: str) -> float:
@@ -137,19 +123,16 @@ _HW_PRESETS = {
 
 
 def model_preset(name: str, bytes_per_param: float = 2.0) -> ModelProfile:
-    try:
-        fields = _MODEL_PRESETS[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown model preset {name!r}") from None
-    return ModelProfile(name=name.lower(), bytes_per_param=bytes_per_param, **fields)
+    if name.lower() not in _MODEL_PRESETS:
+        raise ValueError(f"unknown model preset {name!r}")
+    return ModelProfile(name.lower(), **_MODEL_PRESETS[name.lower()],
+                        bytes_per_param=bytes_per_param)
 
 
 def hardware_preset(name: str) -> HardwareProfile:
-    try:
-        fields = _HW_PRESETS[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown hardware preset {name!r}") from None
-    return HardwareProfile(name=name.lower(), **fields)
+    if name.lower() not in _HW_PRESETS:
+        raise ValueError(f"unknown hardware preset {name!r}")
+    return HardwareProfile(name.lower(), **_HW_PRESETS[name.lower()])
 
 
 def _load_profile(cls, path, **overrides):
@@ -187,15 +170,6 @@ def _ffn_factor(model: ModelProfile) -> int:
     return 6 if model.ffn_kind == "gated_three_matrix" else 4
 
 
-def _token_count(name, value) -> int:
-    """value as a Python int; a ValueError unless it is a nonnegative
-    integer, numpy's included, that is not a bool and fits a float."""
-    _check_number(name, value, numbers.Integral)
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    return int(value)
-
-
 def prefill_flops(model: ModelProfile, n_tokens: int) -> float:
     """Total prefill FLOPs for a prompt of n_tokens.
 
@@ -203,7 +177,8 @@ def prefill_flops(model: ModelProfile, n_tokens: int) -> float:
     attention scores and values, and 4 or 6 * n*d*d_ff for the FFN;
     plus one final 2*n*d*n_vocab vocabulary projection.
     """
-    n, d = float(_token_count("n_tokens", n_tokens)), float(model.d_model)
+    n = float(_as_finite("n_tokens", n_tokens, integer=True, nonnegative=True))
+    d = float(model.d_model)
     per_layer = 8.0 * n * d * d + 4.0 * n * n * d + _ffn_factor(model) * n * d * model.d_ff
     return _finite(model.n_layers * per_layer + 2.0 * n * d * model.n_vocab, "the FLOP count")
 
@@ -215,7 +190,8 @@ def memory_footprint(model: ModelProfile, n_tokens: int) -> tuple[float, float, 
     outputs of every layer (norms, QKV, attention scores and softmax,
     attention output, projections, FFN intermediates) at FP16 width.
     """
-    n, d = float(_token_count("n_tokens", n_tokens)), float(model.d_model)
+    n = float(_as_finite("n_tokens", n_tokens, integer=True, nonnegative=True))
+    d = float(model.d_model)
     weights = model.n_params * model.bytes_per_param
     kv = 2.0 * model.n_layers * n * d * ACTIVATION_BYTES
     # per layer: norm1, q, k, v, attn_out, o_proj, resid1, norm2,
@@ -237,11 +213,10 @@ def roofline_time(flops: float, moved_bytes: float, hw: HardwareProfile) -> floa
 
 
 def cost_report(model: ModelProfile, hw: HardwareProfile, n_tokens: int) -> CostReport:
-    n_tokens = _token_count("n_tokens", n_tokens)
-    flops = prefill_flops(model, n_tokens)
+    flops = prefill_flops(model, n_tokens)  # which checks n_tokens
     total, activation, kv = memory_footprint(model, n_tokens)
     return CostReport(
-        n_tokens=n_tokens,
+        n_tokens=int(n_tokens),
         flops_total=flops,
         prefill_time_s=roofline_time(flops, total, hw),
         total_memory_bytes=total,
@@ -256,7 +231,8 @@ def cost_comparison(
 ) -> tuple[CostReport, CostReport, dict]:
     """Cost reports at the full and reduced token counts plus savings
     ratios (reduced / full)."""
-    n_full, n_reduced = _token_count("n_full", n_full), _token_count("n_reduced", n_reduced)
+    n_full = _as_finite("n_full", n_full, integer=True, nonnegative=True)
+    n_reduced = _as_finite("n_reduced", n_reduced, integer=True, nonnegative=True)
     if n_full < 1:
         raise ValueError("n_full must be >= 1")
     if n_reduced > n_full:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, _as_bool, _as_int, _nearest
+from ._args import _as_int
+from .core import TokenSet, _as_bool, _nearest
 from .selection import SelectionResult, attention_values
 
 __all__ = ["ReducedTokenSet", "token_supplement"]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, _as_bool, _as_int, _is_int, _is_real, class_attention
+from ._args import _as_int, _is_int, _is_real
+from .core import TokenSet, _as_bool, class_attention
 from .merging import ReducedTokenSet, token_supplement
 from .selection import (
     select_outliers,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_grid, _as_int, _as_ints, _is_real
+from ._args import _as_grid, _as_int, _as_ints, _is_real
 
 
 def attention_values(attention) -> np.ndarray:

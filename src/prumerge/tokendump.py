@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenSet, _as_grid, _as_int, _is_real
+from ._args import _as_grid, _as_int, _is_real
+from .core import TokenSet
 from .fileio import TokenDumpError, write_outputs
 from .selection import SelectionResult
 

@@ -603,8 +603,18 @@ class TestEntryPoint:
           "--report", "r.json"], 0),
         (["--help"], 0),
         (["cost", "--model", "7b"], 1),
-    ], ids=["cost", "help", "usage-error"])
+        (["cost", "--model", "model.json", "--hw", "hw.json", "--tokens-full", "576",
+          "--tokens-reduced", "32", "--report", "r.json"], 0),
+        (["cost", "--model", "bool-layers.json", "--hw", "hw.json", "--tokens-full", "576",
+          "--tokens-reduced", "32", "--report", "r.json"], 2),
+    ], ids=["cost", "help", "usage-error", "cost-profiles", "cost-bool-profile"])
     def test_commands_without_arrays_leave_numpy_unimported(self, tmp_path, args, code):
+        # JSON profiles are checked by the shared argument rules, which
+        # must not need numpy either
+        (tmp_path / "model.json").write_text(json.dumps(_7B))
+        (tmp_path / "bool-layers.json").write_text(json.dumps({**_7B, "n_layers": True}))
+        (tmp_path / "hw.json").write_text(json.dumps({"peak_flops": 112e12,
+                                                      "mem_bandwidth": 900e9}))
         script = ("import sys\n"
                   "from prumerge.cli import cli_main\n"
                   "code = cli_main(sys.argv[1:])\n"
@@ -612,6 +622,7 @@ class TestEntryPoint:
         child = subprocess.run([sys.executable, "-c", script] + args, cwd=tmp_path,
                                capture_output=True, text=True, env=child_env(), timeout=120)
         assert child.stderr.splitlines()[-1] == f"{code} False", child.stderr
+        assert (tmp_path / "r.json").exists() == ("r.json" in args and code == 0)
 
     @pytest.mark.parametrize("spec, blas", [
         (demo_corpus_specs()[0], {"OPENBLAS_NUM_THREADS": "1"}),

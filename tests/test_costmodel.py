@@ -160,7 +160,8 @@ class TestCostComparison:
                 == as_json(*cost_comparison(model, hw, 616, 80)))
 
 
-@pytest.mark.parametrize("n_tokens", [576.5, 2.0, True, np.bool_(True), "5", None])
+@pytest.mark.parametrize("n_tokens", [576.5, 2.0, True, np.bool_(True), "5", None,
+                                      np.float64(3)])
 @pytest.mark.parametrize("stage", [prefill_flops, memory_footprint, cost_report])
 def test_token_count_rejects_bool_and_non_integers(stage, n_tokens):
     args = (hardware_preset("v100"),) if stage is cost_report else ()
@@ -202,15 +203,45 @@ class TestProfiles:
     @pytest.mark.parametrize("cls, field, value, message", [
         (ModelProfile, "n_layers", True, "n_layers must be an integer, got True"),
         (ModelProfile, "n_layers", 32.5, "n_layers must be an integer, got 32.5"),
+        (ModelProfile, "n_layers", np.True_, "n_layers must be an integer"),
+        (ModelProfile, "n_layers", np.float64(3), "n_layers must be an integer"),
+        (ModelProfile, "n_layers", "3", "n_layers must be an integer"),
         (ModelProfile, "d_model", 10 ** 400, "d_model is too large for a float"),
         (ModelProfile, "n_params", float("nan"), "n_params must be finite, got nan"),
         (ModelProfile, "bytes_per_param", True, "bytes_per_param must be a real number"),
         (ModelProfile, "name", 7, "name must be a string, got 7"),
         (HardwareProfile, "peak_flops", float("inf"), "peak_flops must be finite, got inf"),
         (HardwareProfile, "mem_bandwidth", False, "mem_bandwidth must be a real number"),
-    ], ids=["bool-int", "non-integer", "huge-int", "nan", "bool-real", "name", "inf", "bool-rate"])
+    ], ids=["bool-int", "non-integer", "numpy-bool-int", "numpy-float-int", "str-int",
+            "huge-int", "nan", "bool-real", "name", "inf", "bool-rate"])
     def test_profiles_built_in_python_check_every_field(self, cls, field, value, message):
         # all but the bool bandwidth (rejected as not positive) were accepted
         preset = model_preset("7b") if cls is ModelProfile else hardware_preset("v100")
         with pytest.raises(ValueError, match=message):
             cls(**{**dataclasses.asdict(preset), field: value})
+
+    @pytest.mark.parametrize("count", [3, np.int64(3)], ids=repr)
+    def test_integer_fields_and_counts_accept_numpy_integers(self, count):
+        model = ModelProfile(**{**dataclasses.asdict(model_preset("7b")), "n_layers": count})
+        assert type(model.n_layers) is int and model.n_layers == 3
+        assert prefill_flops(model, count) == prefill_flops(model, 3)
+
+    def test_numpy_profile_fields_give_json_reports(self):
+        # an np.float32 n_params passed every check, then made a report
+        # that json could not serialise
+        model = ModelProfile(**{**dataclasses.asdict(model_preset("7b")),
+                                "n_params": np.float32(6.74e9), "n_heads": np.int64(32)})
+        hw = HardwareProfile("v100", np.float64(112e12), np.float64(900e9))
+        full, reduced, savings = cost_comparison(model, hw, 616, 80)
+        report = json.loads(json.dumps([full.to_dict(), reduced.to_dict(), savings]))
+        assert report[0]["weight_bytes"] == float(np.float32(6.74e9)) * 2.0
+        assert [type(model.n_params), type(model.n_heads), type(hw.peak_flops)] == [
+            float, int, float]
+
+    def test_integer_profile_reports_integer_weight_bytes(self):
+        model = ModelProfile(**{**dataclasses.asdict(model_preset("7b")),
+                                "n_params": 7000000000, "bytes_per_param": 2})
+        full, reduced, _ = cost_comparison(model, hardware_preset("v100"), 616, 80)
+        assert full.weight_bytes == reduced.weight_bytes == 14000000000
+        assert type(full.weight_bytes) is int
+        assert '"weight_bytes": 14000000000}' in json.dumps(full.to_dict())

@@ -173,6 +173,10 @@ class TestBaselines:
         {"floor": 2.5},
         {"mode": "sequential", "budget": 2.5},
         {"mode": "sequential", "budget": True},
+        {"mode": "sequential", "budget": np.True_},
+        {"mode": "sequential", "budget": 3.0},
+        {"mode": "sequential", "budget": np.float64(3)},
+        {"mode": "sequential", "budget": "3"},
         {"mode": "spatial", "grid_rows": 2.0, "grid_cols": 2},
         {"mode": "spatial", "grid_rows": 2, "grid_cols": np.float64(2)},
     ], ids=repr)

@@ -543,6 +543,7 @@ class TestSynthGenerate:
         ("grid", (4.0, 4)), ("grid", (4, True)), ("d", 2.5), ("d_k", True),
         ("n_heads", 1.0), ("n_spikes", True), ("cluster_count", 2.0), ("seed", 1.5),
         ("d", np.bool_(True)), ("seed", "1"), ("n_spikes", None),
+        ("seed", True), ("seed", np.True_), ("seed", 3.0), ("seed", np.float64(3)),
     ])
     def test_integer_fields_reject_other_values(self, field, value):
         fields = {"grid": (4, 4), "d": 2, "d_k": 2, field: value}
