@@ -178,7 +178,7 @@ def _cmd_synth(args) -> int:
     from .tokendump import SynthSpec, synth_generate, write_token_dump
 
     tokens = synth_generate(_from_flags(SynthSpec, args))
-    write_outputs([(args.out, _dump_bytes(write_token_dump, tokens))])
+    write_token_dump(tokens, args.out)
     return 0
 
 

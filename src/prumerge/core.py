@@ -7,9 +7,6 @@ reductions (softmax sums, dot products) accumulate at double precision.
 
 from __future__ import annotations
 
-import functools
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,80 +26,6 @@ def _as_bool(name, value) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a bool, got {value!r}")
     return bool(value)
-
-
-def _usable_workers() -> int:
-    """The CPUs this process may run on when BLAS is pinned to one thread,
-    else 1: BLAS's own threads would then compete for the same CPUs."""
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    if blas_threads != "1":
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on macOS or Windows
-        return os.cpu_count() or 1
-
-
-# threads, the calling one included, that one pass over the keys is split
-# across, and the fewest multiply-adds worth a part of its own
-_WORKERS = _usable_workers()
-_PART_WORK = 1 << 20
-
-_pool = None
-_pool_pid = None
-_pool_lock = threading.Lock()
-
-
-def _parts(units, unit_work, align=1):
-    """Cut range(units) into at most ``_WORKERS`` contiguous ranges, each
-    a multiple of ``align`` units long and holding at least ``_PART_WORK``
-    of work (``unit_work`` per unit); one range when units is not a
-    multiple of ``align`` or the work is too small to share."""
-    groups, rest = divmod(units, align)
-    least = -(-_PART_WORK // (unit_work * align))
-    parts = 1 if rest else max(1, min(_WORKERS, groups // least))
-    edges = [align * (groups * p // parts) for p in range(parts)] + [units]
-    return list(zip(edges, edges[1:]))
-
-
-def _worker_pool():
-    """The process's worker threads, started on first use. A forked child
-    gets a new pool: the parent's was copied without its threads, and work
-    submitted to it would wait forever."""
-    global _pool, _pool_pid
-    with _pool_lock:
-        if _pool_pid != os.getpid():
-            # imported here, not at the top: it costs milliseconds at start
-            # up, which a process that never splits a pass should not pay
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="prumerge")
-            _pool_pid = os.getpid()
-        return _pool
-
-
-def _run(cell):
-    # the call leaves the cell before it runs, so the worker holds none of
-    # its arrays once the caller sees the result
-    cell.pop()()
-
-
-def _in_parallel(calls):
-    """Run zero-argument calls at once: the first in this thread, the rest
-    on the worker pool, which is only started when there is a rest. Waits
-    for every call, then re-raises the first error in call order."""
-    first, *rest = calls
-    futures = []
-    if rest:
-        pool = _worker_pool()
-        futures = [pool.submit(_run, [call]) for call in rest]
-    try:
-        first()
-    finally:
-        errors = [future.exception() for future in futures]
-    for error in errors:
-        if error is not None:
-            raise error
 
 
 def _check_finite(*named):
@@ -159,11 +82,7 @@ class TokenSet:
             raise ValueError(f"grid {h}x{w} does not match n={n}")
         if n < 1 or self.Y.shape[1] < 1 or d_k < 1 or n_heads < 1:
             raise ValueError("all dimensions must be >= 1")
-        _check_finite(("q_cls", self.q_cls))
-        # on a large image K and Y are checked at once, each in its own thread
-        large = [("K", self.K), ("Y", self.Y)]
-        _in_parallel([functools.partial(_check_finite, *large[a:b])
-                      for a, b in _parts(2, min(self.K.size, self.Y.size))])
+        _check_finite(("q_cls", self.q_cls), ("K", self.K), ("Y", self.Y))
 
     @property
     def n(self) -> int:
@@ -211,18 +130,13 @@ def class_attention(tokens: TokenSet) -> np.ndarray:
 
     Each head is softmaxed independently (over the spatial tokens only);
     with multiple heads the per-head distributions are averaged, which
-    keeps the result a proper distribution. The logits are computed in
-    float64 by one einsum per range of heads (one range unless the work
-    is split across threads, see ``_parts``), each into its own rows of
-    one C-ordered array. An einsum rounds every row of a head the same
-    way, so identical keys get exactly equal attention, and no head's
-    rounding depends on which range it is in; C-ordered logits keep the
+    keeps the result a proper distribution. The logits of all heads come
+    from one float64 einsum, which rounds every row the same way, so
+    identical keys get exactly equal attention; C-ordered logits keep the
     softmax row sums pairwise even when K is a strided view.
     """
     logits = np.empty((tokens.n_heads, tokens.n))
-    _in_parallel([functools.partial(np.einsum, "hnd,hd->hn", tokens.K[a:b], tokens.q_cls[a:b],
-                                    dtype=np.float64, out=logits[a:b])
-                  for a, b in _parts(tokens.n_heads, tokens.n * tokens.d_k)])
+    np.einsum("hnd,hd->hn", tokens.K, tokens.q_cls, dtype=np.float64, out=logits)
     return scaled_softmax(logits, tokens.d_k).mean(axis=0)
 
 
@@ -270,32 +184,21 @@ def _similarity_windows(tokens: TokenSet, centers):
 
     The keys are cast to float64 a block of tokens at a time, into one
     reused buffer of at most ``_SIMILARITY_BLOCK_BYTES`` (or one token),
-    so the float64 keys never exist all at once. Each block is cast and
-    multiplied against the centers' keys in contiguous ranges of its
-    columns, one BLAS product per range, each range in its own thread
-    (one range unless the work is split, see ``_parts``). Every range
-    casts into its own rows of the one buffer and writes its own columns
-    of the one window, so splitting adds no memory. Only a block a
-    multiple of 8 columns wide is split, and only into ranges a multiple
-    of 8 wide: OpenBLAS can round the columns past a product's last
-    multiple of 8 by the product's width, which a split changes, and its
-    small-matrix kernels, which round otherwise, only take products below
-    ``_PART_WORK`` multiply-adds. So every column rounds as in the block's
-    unsplit product, which ``test_split_passes_equal_the_serial_path``
-    checks against the BLAS in use. The n keys are cut into the fewest
-    blocks the budget allows, all of one width but the last: 576 ViT-L
-    keys are cast as 3 x 192, not 256 + 256 + 64. A window holds as many
-    whole blocks as ``_SIMILARITY_WINDOW_BYTES`` of rows holds (3 x 240
-    AnyRes keys for 82 centers), or every key when that covers them (all
-    576 ViT-L keys for up to 113 centers), but never fewer columns than
-    one block or a key's coordinates: each BLAS call reads all of the
-    centers' keys, so a narrower window costs more calls than the rows
-    it saves. BLAS may round equal dot products differently depending on
-    where a column sits, so every token whose key equals an earlier
-    token's key (over all heads, with -0.0 equal to 0.0) is given that
-    earlier token's column, kept from the earlier token's own window:
-    identical keys get exactly equal similarities and rank by lower
-    index.
+    and each block is multiplied against the centers' keys with one BLAS
+    product, so the float64 keys never exist all at once. The n keys are
+    cut into the fewest blocks the budget allows, all of one width but
+    the last: 576 ViT-L keys are cast as 3 x 192, not 256 + 256 + 64. A
+    window holds as many whole blocks as ``_SIMILARITY_WINDOW_BYTES`` of
+    rows holds (3 x 240 AnyRes keys for 82 centers), or every key when
+    that covers them (all 576 ViT-L keys for up to 113 centers), but
+    never fewer columns than one block or a key's coordinates: each BLAS
+    call reads all of the centers' keys, so a narrower window costs more
+    calls than the rows it saves. BLAS may round equal dot products
+    differently depending on where a column sits, so every token whose
+    key equals an earlier token's key (over all heads, with -0.0 equal
+    to 0.0) is given that earlier token's column, kept from the earlier
+    token's own window: identical keys get exactly equal similarities
+    and rank by lower index.
 
     Only this module reads the windows. They share one buffer, valid
     until the next window is asked for, which the reader may overwrite:
@@ -330,15 +233,16 @@ def _similarity_windows(tokens: TokenSet, centers):
         stop = min(start + width, n)
         window = similarity[: centers.size * (stop - start)].reshape(centers.size, stop - start)
         for s in range(start, stop, block):
-            _in_parallel([functools.partial(_cast_product, rows, tokens.K[:, s + a:s + b],
-                                            buf[a:b], window[:, s - start + a:s - start + b])
-                          for a, b in _parts(min(s + block, stop) - s, rows.size, align=8)])
+            e = min(s + block, stop)
+            keys = buf[: e - s]
+            keys[:] = tokens.K[:, s:e].transpose(1, 0, 2)
+            np.matmul(rows, keys.reshape(e - s, size).T, out=window[:, s - start:e - start])
         lo, hi = np.searchsorted(leaders, (start, stop))
         kept[:, lo:hi] = window[:, leaders[lo:hi] - start]
         lo, hi = np.searchsorted(dup, (start, stop))
         window[:, dup[lo:hi] - start] = kept[:, slot[lo:hi]]
         if stop == n:
-            del buf, rows, kept
+            del buf, keys, rows, kept
         yield start, window
 
 
@@ -393,13 +297,6 @@ def _kth_smallest(a, k):
         block = a[start:start + step]
         kth[start:start + step, 0] = np.partition(block, k - 1, axis=1)[:, k - 1]
     return kth
-
-
-def _cast_product(rows, K, keys, out):
-    """out = rows @ the keys K cast to float64 in ``keys``, every token's
-    heads concatenated."""
-    keys[:] = K.transpose(1, 0, 2)
-    np.matmul(rows, keys.reshape(len(keys), -1).T, out=out)
 
 
 def _equal_key_columns(K, fingerprint):

@@ -277,6 +277,8 @@ class SynthSpec:
             raise ValueError("n_spikes must be in [0, n]")
         if self.cluster_count < 1:
             raise ValueError("cluster_count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not _is_real(self.spike_gain):
             raise ValueError(f"spike_gain must be a real number, got {self.spike_gain!r}")
         # the spike logits gain +- noise are stored as float32 keys

@@ -505,10 +505,14 @@ def test_malformed_data_file_is_data_error(tmp_path, capsys, command, content):
     ["synth", "--grid", "4x4", "--d", "2", "--dk", "2", "--spikes", "1", "--gain", "nan"],
     ["synth", "--grid", "4x4", "--d", "2", "--dk", "2", "--spikes", "1", "--gain", "inf"],
     ["synth", "--grid", "4x4", "--d", "2", "--dk", "2", "--spikes", "1", "--gain", "1e39"],
+    ["synth", "--grid", "4x4", "--d", "2", "--dk", "2", "--spikes", "1", "--seed", "-1"],
 ])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "out"
-    target = ["--seed", "0", "--out", str(out)] if argv[0] == "synth" else ["--report", str(out)]
+    if argv[0] == "synth":
+        target = ([] if "--seed" in argv else ["--seed", "0"]) + ["--out", str(out)]
+    else:
+        target = ["--report", str(out)]
     assert run(argv + target) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
@@ -624,14 +628,14 @@ class TestEntryPoint:
         assert child.stderr.splitlines()[-1] == f"{code} False", child.stderr
         assert (tmp_path / "r.json").exists() == ("r.json" in args and code == 0)
 
-    @pytest.mark.parametrize("spec, blas", [
-        (demo_corpus_specs()[0], {"OPENBLAS_NUM_THREADS": "1"}),
-        (SynthSpec(grid=(120, 24), d=1024, d_k=64, n_heads=16, n_spikes=32, seed=1), {}),
-    ], ids=["demo-corpus", "anyres-blas-unpinned"])
-    def test_reduce_without_a_split_starts_no_threads(self, tmp_path, spec, blas):
-        # a demo-corpus image is too small to split, and with BLAS free to
-        # use every CPU nothing is split: no pool, no worker thread, and
-        # not the import of concurrent.futures either
+    @pytest.mark.parametrize("spec", [
+        demo_corpus_specs()[0],
+        SynthSpec(grid=(120, 24), d=1024, d_k=64, n_heads=16, n_spikes=32, seed=1),
+    ], ids=["demo-corpus", "anyres"])
+    def test_reduce_starts_no_threads(self, tmp_path, spec):
+        # every pass over an image runs in the calling thread, even an
+        # AnyRes image with BLAS on one thread: no worker thread, and not
+        # the import of concurrent.futures either
         write_token_dump(synth_generate(spec), tmp_path / "t.prmg")
         script = ("import runpy, sys, threading\n"
                   "try:\n"
@@ -643,7 +647,8 @@ class TestEntryPoint:
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         child = subprocess.run([sys.executable, "-c", script, "reduce", "--input", "t.prmg",
                                 "--mode", "prumerge+", "--out", "r.prmr"], cwd=tmp_path,
-                               capture_output=True, text=True, env={**env, **blas}, timeout=120)
+                               capture_output=True, text=True,
+                               env={**env, "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
         assert child.stderr.splitlines()[-1] == "0 False 1", child.stderr
         assert (tmp_path / "r.prmr").exists()
 

@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 
 import numpy as np
@@ -16,14 +15,7 @@ from prumerge import (
     reduce_tokens,
     scaled_softmax,
 )
-from prumerge.core import (
-    _PART_WORK,
-    _SIMILARITY_BLOCK_BYTES,
-    _in_parallel,
-    _parts,
-    _similarity_windows,
-    _usable_workers,
-)
+from prumerge.core import _SIMILARITY_BLOCK_BYTES, _similarity_windows
 from oracles import dot_table, softmax_direct
 
 finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False)
@@ -267,6 +259,17 @@ class TestTokenSetValidation:
         with pytest.raises(ValueError, match="non-finite"):
             make_tokens(keys)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [("q_cls",), ("K",), ("Y",), ("q_cls", "K"), ("q_cls", "Y"),
+                                     ("K", "Y"), ("q_cls", "K", "Y")], ids="+".join)
+    def test_first_non_finite_array_is_named(self, bad, value):
+        # q_cls, then K, then Y: the error names the first that holds one
+        arrays = {"q_cls": np.ones((2, 3)), "K": np.ones((2, 4, 3)), "Y": np.ones((4, 5))}
+        for name in bad:
+            arrays[name].flat[-1] = value
+        with pytest.raises(ValueError, match=f"^{bad[0]} contains non-finite entries$"):
+            TokenSet(grid=(2, 2), **arrays)
+
     @pytest.mark.parametrize("grid", [(True, 4), (2.0, 2.0), (1, "4"), (np.float64(2), 2)])
     def test_grid_rejects_bool_and_non_integers(self, grid):
         with pytest.raises(ValueError, match="grid must be two integers"):
@@ -344,7 +347,6 @@ def test_one_window_is_the_similarity_not_a_copy_of_it(monkeypatch):
     rng = np.random.default_rng(m)
     tokens = TokenSet(grid=(24, 24), q_cls=np.zeros((16, 64)),
                       K=rng.standard_normal((16, n, 64), dtype=np.float32), Y=np.zeros((n, 1)))
-    key_similarity(tokens, range(m))  # starts any worker threads before the trace
     tracemalloc.start()
     try:
         similarity = key_similarity(tokens, range(m))
@@ -360,54 +362,51 @@ def test_one_window_is_the_similarity_not_a_copy_of_it(monkeypatch):
     assert key_similarity(tokens, range(m)).tobytes() == similarity.tobytes()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("units, unit_work, align", [
-    (2, 1 << 20, 1), (2, 1 << 19, 1), (16, 2880 * 64, 1), (16, 576 * 64, 1),
-    (240, 82 * 1024, 8), (192, 64 * 1024, 8), (243, 52 * 1024, 8), (5, 1 << 30, 8)])
-def test_parts_cover_the_units_in_aligned_ranges_of_enough_work(monkeypatch, workers,
-                                                                units, unit_work, align):
-    monkeypatch.setattr(prumerge.core, "_WORKERS", workers)
-    parts = _parts(units, unit_work, align)
-    starts = [a for a, _ in parts]
-    assert starts[0] == 0 and [b for _, b in parts] == starts[1:] + [units]
-    assert all(a < b for a, b in parts)
-    assert len(parts) <= workers
-    if len(parts) > 1:
-        assert all(a % align == 0 and (b - a) * unit_work >= _PART_WORK for a, b in parts)
+def pooled_keys(rng, n_heads, n, d_k, pool):
+    # keys drawn from a pool of vectors, one of them with -0.0 where
+    # another has 0.0, so equal keys sit in different blocks and windows
+    vectors = rng.normal(size=(pool, n_heads, d_k)).astype(np.float32)
+    vectors[0, 0, 0], vectors[1] = 0.0, vectors[0]
+    vectors[1, 0, 0] = -0.0
+    return vectors[rng.integers(pool, size=n)].transpose(1, 0, 2)
 
 
-def test_in_parallel_runs_every_call_and_raises_the_first_error(monkeypatch):
-    monkeypatch.setattr(prumerge.core, "_WORKERS", 3)
-    done = []
-
-    def call(tag, error=None):
-        def run():
-            done.append(tag)
-            if error is not None:
-                raise error(tag)
-        return run
-
-    with pytest.raises(KeyError, match="b"):
-        _in_parallel([call("a"), call("b", KeyError), call("c", ValueError)])
-    with pytest.raises(ValueError, match="d"):
-        _in_parallel([call("d", ValueError), call("e", KeyError)])
-    assert sorted(done) == ["a", "b", "c", "d", "e"]
-
-
-@pytest.mark.parametrize("env, split", [
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OMP_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    ({"OMP_NUM_THREADS": "4"}, False),
-    ({}, False),
-], ids=repr)
-def test_passes_split_across_the_usable_cpus_only_with_blas_on_one_thread(monkeypatch, env,
-                                                                          split):
-    # BLAS on more threads already uses the CPUs; one usable CPU (say
-    # under taskset) gives one worker either way
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert _usable_workers() == (cpus if split else 1)
+@pytest.mark.parametrize("n, grid, n_heads, d_k, m, block_bytes, window_bytes, pool", [
+    (742, (14, 53), 16, 64, 33, None, None, None),  # 248 + 248 + 246, one window
+    (576, (24, 24), 16, 64, 1, None, None, None),
+    (7, (1, 7), 1, 3, 2, 8 * 3 * 2, 0, None),  # blocks and windows of 2, 2, 2, 1
+    (13, (1, 13), 2, 2, 3, 1, 8 * 3 * 5, None),  # one key per block, windows 5, 5, 3
+    (10, (2, 5), 1, 4, 10, 8 * 4 * 3, 8 * 10 * 7, None),  # blocks of 3, windows 6, 4
+    (12, (3, 4), 2, 3, 4, 8 * 6 * 2, 8 * 4 * 5, 3),
+    (512, (8, 64), 16, 64, 52, None, 8 * 52 * 256, 3),
+    (30, (5, 6), 1, 2, 6, 8 * 2 * 4, 0, 4),  # blocks of 4 cut to windows of a key's 2 columns
+], ids=lambda v: "default" if v is None else None)
+def test_windows_are_one_product_over_all_keys(monkeypatch, n, grid, n_heads, d_k, m,
+                                               block_bytes, window_bytes, pool):
+    # however the keys are cut into blocks and windows, the windows cover
+    # every column once, in order, and hold the float64 product of the
+    # centers' keys with all keys; equal keys get bitwise equal columns,
+    # and the ranking over the windows is a stable sort of whole rows
+    if block_bytes is not None:
+        monkeypatch.setattr(prumerge.core, "_SIMILARITY_BLOCK_BYTES", block_bytes)
+    if window_bytes is not None:
+        monkeypatch.setattr(prumerge.core, "_SIMILARITY_WINDOW_BYTES", window_bytes)
+    rng = np.random.default_rng(n)
+    K = (rng.normal(size=(n_heads, n, d_k)).astype(np.float32) if pool is None
+         else pooled_keys(rng, n_heads, n, d_k, pool))
+    tokens = TokenSet(grid=grid, q_cls=np.zeros((n_heads, d_k)), K=K, Y=np.zeros((n, 1)))
+    centers = np.sort(rng.choice(n, size=m, replace=False))
+    starts, widths = [], []
+    for start, rows in _similarity_windows(tokens, centers):
+        starts.append(start)
+        widths.append(rows.shape[1])
+    assert starts == [sum(widths[:i]) for i in range(len(widths))] and sum(widths) == n
+    similarity = key_similarity(tokens, centers)
+    keys = K.transpose(1, 0, 2).reshape(n, -1).astype(np.float64)
+    np.testing.assert_allclose(similarity, keys[centers] @ keys.T, rtol=1e-12, atol=1e-12)
+    _, first = np.unique(keys + 0.0, axis=0, return_inverse=True)
+    first = np.array([np.flatnonzero(first == g)[0] for g in first.ravel()])
+    assert similarity.tobytes() == similarity[:, first].tobytes()
+    k = min(5, n)
+    ranked = np.argsort(-similarity, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(prumerge.core._nearest(tokens, centers, k), ranked)

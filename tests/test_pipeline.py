@@ -1,5 +1,4 @@
 import io
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -358,10 +357,9 @@ sys.stdout.buffer.write(out.getvalue() + result.members.tobytes())
 
 
 def test_outputs_do_not_depend_on_blas_threads():
-    # parallel reduction relies on every output bit being the same
-    # whatever threads BLAS splits the similarity products over. With
-    # BLAS on one thread the child splits its passes over the keys
-    # across the usable CPUs; with BLAS on two it takes the serial path
+    # more CPUs for one image come from BLAS's own threads, so every
+    # output bit must be the same whatever threads BLAS splits the
+    # similarity products over: here one thread against two
     tokens = synth_generate(SynthSpec(**BLAS_SPEC))
     result = reduce_tokens(tokens, PipelineConfig(mode="prumerge_plus"))
     assert len(list(_similarity_windows(tokens, result.source_indices))) == 3
@@ -381,8 +379,8 @@ ANYRES_SPEC = {"grid": (120, 24), "d": 1024, "d_k": 64, "n_heads": 16, "n_spikes
 
 
 def duplicate_key_tokens():
-    # 16-head keys drawn from a pool of 3 vectors on an 8x64 grid, whose
-    # two key blocks of 256 columns can be split
+    # 16-head keys drawn from a pool of 3 vectors on an 8x64 grid: equal
+    # keys sit in both key blocks of 256 columns
     rng = np.random.default_rng(5)
     pool = rng.normal(size=(3, 16, 64)).astype(np.float32)
     K = pool[rng.integers(3, size=512)].transpose(1, 0, 2)
@@ -390,7 +388,7 @@ def duplicate_key_tokens():
     return TokenSet(grid=(8, 64), q_cls=q, K=K, Y=rng.normal(size=(512, 8)))
 
 
-SPLIT_INPUTS = {
+WINDOW_INPUTS = {
     "vitl-m64": (lambda: synth_generate(SynthSpec(grid=(24, 24), d=1024, d_k=64, n_heads=16,
                                                   n_spikes=64, seed=1)),
                  PipelineConfig(mode="prumerge"), 64),
@@ -398,90 +396,71 @@ SPLIT_INPUTS = {
                    PipelineConfig(mode="prumerge_plus"), 82),
     "duplicate-keys": (duplicate_key_tokens,
                        PipelineConfig(mode="prumerge_plus", supplement_ratio=0.1), 52),
-    # n = 742 keys are cast as 248 + 248 + 246: a block that is not a
-    # multiple of 8 columns wide is not split
+    # n = 742 keys are cast as 248 + 248 + 246
     "unaligned-block": (lambda: synth_generate(SynthSpec(grid=(14, 53), d=64, d_k=64,
                                                          n_heads=16, n_spikes=32, seed=1)),
                         PipelineConfig(mode="prumerge"), 33),
 }
 
 
-@pytest.mark.parametrize("name", SPLIT_INPUTS)
-def test_split_passes_equal_the_serial_path(monkeypatch, name):
-    # the finite checks, the logits and the key blocks' products split
-    # across 2 or 3 threads give every bit of the serial path: outputs,
-    # attention and the similarity rows the merge ranks
-    make, config, m = SPLIT_INPUTS[name]
-    source = make()
-    submitted = []
-    in_parallel = prumerge.core._in_parallel
-
-    def counting(calls):
-        submitted.append(len(calls) - 1)
-        in_parallel(calls)
-
-    monkeypatch.setattr(prumerge.core, "_in_parallel", counting)
-    outputs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(prumerge.core, "_WORKERS", workers)
-        submitted.clear()
-        tokens = TokenSet(grid=source.grid, q_cls=source.q_cls, K=source.K, Y=source.Y)
-        result = reduce_tokens(tokens, config)
-        assert result.m == m
-        assert (sum(submitted) > 0) == (workers > 1), workers
-        out = io.BytesIO()
-        write_reduced_dump(result.tokens, result.source_indices, result.n, out)
-        outputs.append((out.getvalue(), result.members.tobytes(), result.weights.tobytes(),
-                        class_attention(tokens).tobytes(),
-                        key_similarity(tokens, result.source_indices).tobytes()))
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-
-
-FORK_CHILD = f"""
-import io, os, signal, warnings
-import prumerge.core
-from prumerge import PipelineConfig, SynthSpec, reduce_tokens, synth_generate
-from prumerge.tokendump import write_reduced_dump
-prumerge.core._WORKERS = 2  # split, and so start the pool, even on one CPU
-tokens = synth_generate(SynthSpec(**{ANYRES_SPEC!r}))
-
-def reduced():
-    result = reduce_tokens(tokens, PipelineConfig(mode="prumerge_plus"))
+def reduced_outputs(tokens, config):
+    result = reduce_tokens(tokens, config)
     out = io.BytesIO()
     write_reduced_dump(result.tokens, result.source_indices, result.n, out)
-    return out.getvalue() + result.members.tobytes()
+    return result, (out.getvalue(), result.members.tobytes(), result.weights.tobytes(),
+                    class_attention(tokens).tobytes(),
+                    key_similarity(tokens, result.source_indices).tobytes())
 
-before = reduced()
-assert prumerge.core._pool is not None
-read, write = os.pipe()
-with warnings.catch_warnings():
-    # Python 3.12+ warns that a fork with threads running may deadlock the
-    # child; that it does not is what this checks
-    warnings.simplefilter("ignore", DeprecationWarning)
-    pid = os.fork()
-if pid == 0:
-    signal.alarm(60)  # a child stuck on its parent's pool dies instead of hanging
-    code = 1
-    try:
-        os.close(read)
-        with os.fdopen(write, "wb") as fh:
-            fh.write(reduced())
-        code = 0
-    finally:
-        os._exit(code)
-os.close(write)
-with os.fdopen(read, "rb") as fh:
-    after = fh.read()
-_, status = os.waitpid(pid, 0)
-print(os.waitstatus_to_exitcode(status), after == before)
+
+@pytest.mark.parametrize("windows", ["one-block", "all-keys"])
+@pytest.mark.parametrize("name", WINDOW_INPUTS)
+def test_outputs_do_not_depend_on_the_window_width(monkeypatch, name, windows):
+    # windows of whole key blocks run the same BLAS products, so one block
+    # per window and every key in one window give every bit of the default
+    # windows (one for all but AnyRes, which has four): outputs, attention
+    # and the similarity rows the merge ranks
+    make, config, m = WINDOW_INPUTS[name]
+    tokens = make()
+    result, default = reduced_outputs(tokens, config)
+    assert result.m == m
+    monkeypatch.setattr(prumerge.core, "_SIMILARITY_WINDOW_BYTES",
+                        0 if windows == "one-block" else 8 * m * tokens.n)
+    count = len(list(_similarity_windows(tokens, result.source_indices)))
+    assert count > 1 if windows == "one-block" else count == 1
+    assert reduced_outputs(tokens, config)[1] == default
+
+
+NO_THREADS_CHILD = f"""
+import io, sys, threading
+from prumerge import PipelineConfig, SynthSpec, reduce_tokens, synth_generate
+from prumerge.tokendump import write_reduced_dump
+tokens = synth_generate(SynthSpec(**{ANYRES_SPEC!r}))
+result = reduce_tokens(tokens, PipelineConfig(mode="prumerge_plus"))
+out = io.BytesIO()
+write_reduced_dump(result.tokens, result.source_indices, result.n, out)
+print(threading.active_count(), "concurrent.futures" in sys.modules, file=sys.stderr)
+sys.stdout.buffer.write(out.getvalue() + result.members.tobytes())
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_splits_on_its_own_pool():
-    # the parent's pool is copied into a forked child without its threads;
-    # the child must start its own rather than wait on them forever
-    child = subprocess.run([sys.executable, "-c", FORK_CHILD], capture_output=True, text=True,
-                           env={**child_env(), "OPENBLAS_NUM_THREADS": "1"}, timeout=120)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["0", "True"], child.stderr
+@pytest.mark.parametrize("env", [
+    {"OPENBLAS_NUM_THREADS": "1"},
+    {"OMP_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"},
+    {"OMP_NUM_THREADS": "2"},
+    {},
+], ids=repr)
+def test_reduce_runs_in_the_calling_thread_whatever_blas_threads(env):
+    # an AnyRes image reduced under each BLAS thread setting starts no
+    # Python thread and gives the bytes of the reduction in this process
+    result = reduce_tokens(synth_generate(SynthSpec(**ANYRES_SPEC)),
+                           PipelineConfig(mode="prumerge_plus"))
+    here = io.BytesIO()
+    write_reduced_dump(result.tokens, result.source_indices, result.n, here)
+    child_vars = {k: v for k, v in child_env().items()
+                  if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    child = subprocess.run([sys.executable, "-c", NO_THREADS_CHILD], capture_output=True,
+                           env={**child_vars, **env}, timeout=120)
+    assert child.returncode == 0, child.stderr.decode()
+    assert child.stderr.decode().splitlines()[-1] == "1 False", child.stderr.decode()
+    assert child.stdout == here.getvalue() + result.members.tobytes()
