@@ -18,9 +18,9 @@ _EXPORTS = {
     **dict.fromkeys(["Fences", "SelectionResult", "iqr_fences", "quartiles", "select_outliers",
                      "sequential_baseline", "spatial_grid_baseline",
                      "uniform_spatial_supplement"], "selection"),
-    **dict.fromkeys(["SynthSpec", "TokenDumpError", "read_reduced_dump", "read_token_dump",
-                     "render_mask", "synth_generate", "write_reduced_dump", "write_token_dump"],
-                    "tokendump"),
+    "TokenDumpError": "fileio",
+    **dict.fromkeys(["SynthSpec", "read_reduced_dump", "read_token_dump", "render_mask",
+                     "synth_generate", "write_reduced_dump", "write_token_dump"], "tokendump"),
 }
 
 __all__ = list(_EXPORTS)

@@ -146,6 +146,15 @@ def _from_flags(cls, args, **values):
         return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given})
 
 
+def _distinct_files(named_paths) -> None:
+    """A usage error if two (flag, path) pairs with a path name one file."""
+    named = {}
+    for flag, path in named_paths:
+        first = named.setdefault(os.path.realpath(path), flag) if path else flag
+        if first != flag:
+            raise _UsageError(f"{first} and {flag} name the same file")
+
+
 def _cmd_reduce(args) -> int:
     from .pipeline import PipelineConfig, reduce_tokens
     from .tokendump import read_token_dump, render_mask, write_reduced_dump
@@ -153,13 +162,7 @@ def _cmd_reduce(args) -> int:
     mode = "prumerge_plus" if args.mode == "prumerge+" else args.mode
     config = _from_flags(PipelineConfig, args, mode=mode,
                          **dict(zip(("grid_rows", "grid_cols"), args.grid or ())))
-    named = {}
-    for flag in ("--input", "--out", "--stats", "--mask"):
-        path = getattr(args, flag[2:])
-        if path:
-            first = named.setdefault(os.path.realpath(path), flag)
-            if first != flag:
-                raise _UsageError(f"{first} and {flag} name the same file")
+    _distinct_files((f, getattr(args, f[2:])) for f in ("--input", "--out", "--stats", "--mask"))
     tokens = read_token_dump(args.input)
     result = reduce_tokens(tokens, config)
     outputs = [(args.out, _dump_bytes(write_reduced_dump, result.tokens,
@@ -183,12 +186,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_cost(args) -> int:
+    model_file = args.model.lower() not in _MODEL_PRESETS
+    hw_file = args.hw.lower() not in _HW_PRESETS
+    _distinct_files([("--model", model_file and args.model), ("--hw", hw_file and args.hw),
+                     ("--report", args.report)])
     # a profile keeps its own bytes_per_param unless --int4 overrides it
     int4 = {"bytes_per_param": 0.5} if args.int4 else {}
-    load = model_preset if args.model.lower() in _MODEL_PRESETS else load_model_profile
-    model = load(args.model, **int4)
-    load = hardware_preset if args.hw.lower() in _HW_PRESETS else load_hardware_profile
-    hw = load(args.hw)
+    model = (load_model_profile if model_file else model_preset)(args.model, **int4)
+    hw = (load_hardware_profile if hw_file else hardware_preset)(args.hw)
     with _flag_values():
         full, reduced, savings = cost_comparison(
             model, hw, args.tokens_full, args.tokens_reduced

@@ -63,7 +63,8 @@ class TokenSet:
         object.__setattr__(self, "q_cls", np.asarray(self.q_cls, dtype=np.float32))
         object.__setattr__(self, "K", np.asarray(self.K, dtype=np.float32))
         object.__setattr__(self, "Y", np.asarray(self.Y, dtype=np.float32))
-        h, w = _as_grid(self.grid)
+        object.__setattr__(self, "grid", _as_grid(self.grid))
+        h, w = self.grid
         if self.q_cls.ndim != 2:
             raise ValueError("q_cls must be 2-d (n_heads, d_k)")
         if self.K.ndim != 3:
@@ -200,10 +201,11 @@ def _similarity_windows(tokens: TokenSet, centers):
     token's own window: identical keys get exactly equal similarities
     and rank by lower index.
 
-    Only this module reads the windows. They share one buffer, valid
-    until the next window is asked for, which the reader may overwrite:
-    the columns kept for equal keys are copied out first. The key block
-    and the centers' float64 keys are freed before the last window.
+    Only this module reads the windows, and no reader writes to them.
+    They share one buffer, valid until the next window is asked for, so
+    the columns kept for equal keys are copied out before it is reused.
+    The key block and the centers' float64 keys are freed before the
+    last window.
     """
     centers = np.asarray(centers, dtype=np.intp)
     n_heads, n, d_k = tokens.K.shape
@@ -251,51 +253,42 @@ def _nearest(tokens, centers, k):
     lower index: the first k columns of a stable descending sort of its
     similarity row, kept as one running top k over windows of the row.
 
-    The rows come one window of key columns at a time from
-    ``_similarity_windows``, at every shape, and each window is negated
-    in place. Only a window's entries at or above its k-th largest value
-    are candidates: an entry below it has k larger ones in the window,
-    so it cannot be in the row's top k. The candidates are copied, in
-    column order, into rows padded with +inf behind the running top k,
-    and one stable sort keeps each row's first k. The running entries
-    come first and have lower columns, so ties still go to the lower
-    index. Besides the windows, the ranking holds O(m·k) entries,
-    nothing of size m·n.
+    Every entry is ranked by one complex key, -similarity + 1j * column,
+    which numpy sorts by real part, then imaginary part, so any sort
+    gives the stable sort's order, whatever order the windows and their
+    entries arrive in. The windows come from ``_similarity_windows`` at
+    every shape, and none is written to. Only a window's entries at or
+    above its k-th largest value are candidates (an entry below it has k
+    larger ones); they join the running top k, in rows padded with +inf,
+    and one sort keeps each row's first k. Besides the windows, the
+    ranking holds O(m·k) entries, nothing of size m·n.
     """
-    m = centers.size
-    values = np.empty((m, 0))
-    columns = np.empty((m, 0), dtype=np.intp)
+    best = np.empty((centers.size, 0), dtype=complex)
     for start, rows in _similarity_windows(tokens, centers):
-        negated = np.negative(rows, out=rows)
-        w = rows.shape[1]
-        hit = np.flatnonzero(negated <= _kth_smallest(negated, min(k, w)))  # row-major
-        row, column = np.divmod(hit, w)
-        counts = np.bincount(row, minlength=m)
-        kept = values.shape[1]
-        span = kept + counts.max()
-        # flat positions in joined: each row's candidates behind its running top k
-        slot = np.arange(kept, kept + hit.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        slot += row * span
-        joined = np.full((m, span), np.inf)
-        at = np.empty(joined.shape, dtype=np.intp)  # a +inf pad ranks last, never returned
-        joined[:, :kept], at[:, :kept] = values, columns
-        joined.ravel()[slot], at.ravel()[slot] = negated.ravel()[hit], column + start
-        del hit, row, column, slot  # freed before the sort allocates as many again
-        order = np.argsort(joined, axis=1, kind="stable")[:, :k]
-        order += np.arange(0, joined.size, span)[:, None]  # flat, as slot
-        values, columns = joined.ravel()[order], at.ravel()[order]
-    return columns
+        hit = rows >= _kth_largest(rows, min(k, rows.shape[1]))
+        counts = np.count_nonzero(hit, axis=1)
+        hit = np.flatnonzero(hit)  # row-major, as the filled mask below
+        joined = np.full((centers.size, best.shape[1] + counts.max()), np.inf, dtype=complex)
+        joined[:, :best.shape[1]] = best  # a +inf pad ranks last, never returned
+        filled = np.arange(counts.max()) < counts[:, None]
+        # the key's parts are written apart, so no complex temporary is made
+        joined[:, best.shape[1]:].real[filled] = -rows.take(hit)
+        joined[:, best.shape[1]:].imag[filled] = hit % rows.shape[1] + start
+        del hit  # freed before the next window's mask is made
+        joined.sort(axis=1)
+        best = joined[:, :k]
+    return best.imag.astype(np.intp)
 
 
-def _kth_smallest(a, k):
-    """Each row's k-th smallest value, as an (m, 1) column. The rows are
+def _kth_largest(a, k):
+    """Each row's k-th largest value, as an (m, 1) column. The rows are
     partitioned a block of about ``_PARTITION_BLOCK_BYTES`` at a time, so
     the partitioned copy never holds more than one block."""
     kth = np.empty((a.shape[0], 1), dtype=a.dtype)
     step = max(1, _PARTITION_BLOCK_BYTES // (a.itemsize * a.shape[1]))
     for start in range(0, a.shape[0], step):
         block = a[start:start + step]
-        kth[start:start + step, 0] = np.partition(block, k - 1, axis=1)[:, k - 1]
+        kth[start:start + step, 0] = np.partition(block, -k, axis=1)[:, -k]
     return kth
 
 

@@ -5,8 +5,9 @@ included) form a cluster, and the center is replaced by the class-
 attention-weighted average of the cluster's embeddings. Weights are
 normalized within each cluster by default so the merged embedding keeps
 the scale of its members; an unnormalized mode is available for
-comparison. The members are ranked by ``core._nearest``, which holds
-nothing of size m·n. The clusters are then merged over blocks of
+comparison. ``core._nearest`` ranks the members by descending key
+similarity, ties to the lower index, holding nothing of size m·n but
+the similarity windows. The clusters are then merged over blocks of
 centers; a center whose k members' embeddings exceed the merge budget
 is merged one slab of embedding columns at a time, and every column
 still sums its members in the same order, so the result does not depend

@@ -268,9 +268,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        h, w = _as_grid(self.grid)
+        object.__setattr__(self, "grid", _as_grid(self.grid))
         for name in ("d", "d_k", "n_heads", "n_spikes", "cluster_count", "seed"):
-            _as_int(name, getattr(self, name))
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        h, w = self.grid
         if min(h, w, self.d, self.d_k, self.n_heads) < 1:
             raise ValueError("all dimensions must be >= 1")
         if not 0 <= self.n_spikes <= h * w:

@@ -414,6 +414,28 @@ class TestCost:
         data = json.loads(report.read_text())
         assert (data["model"], data["hardware"]) == ("1b", "a100")
 
+    @pytest.mark.parametrize("model, hw, report, code", [
+        ("model.json", "v100", "model.json", 1),
+        ("7b", "hw.json", "sub/../hw.json", 1),
+        ("model.json", "hw.json", "hw.json", 1),
+        ("model.json", "model.json", "r.json", 1),
+        ("7b", "v100", "7b", 0),  # a preset name is not a file
+    ])
+    def test_report_on_a_profile_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                model, hw, report, code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        profiles = {"model.json": json.dumps(_7B), "hw.json": json.dumps(
+            {"peak_flops": 112e12, "mem_bandwidth": 900e9}), "7b": "not a profile"}
+        for name, text in profiles.items():
+            (tmp_path / name).write_text(text)
+        assert run(["cost", "--model", model, "--hw", hw, "--tokens-full", "616",
+                    "--tokens-reduced", "80", "--report", report]) == code
+        assert ("name the same file" in capsys.readouterr().err) == (code == 1)
+        for name, text in profiles.items():
+            assert ((tmp_path / name).read_text() == text) == (code == 1 or name != report)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["7b", "hw.json", "model.json", "sub"]
+
     def test_unknown_model_is_data_error(self, tmp_path):
         assert run(["cost", "--model", "70b", "--tokens-full", "10",
                     "--tokens-reduced", "5",
@@ -619,9 +641,10 @@ class TestEntryPoint:
         (tmp_path / "bool-layers.json").write_text(json.dumps({**_7B, "n_layers": True}))
         (tmp_path / "hw.json").write_text(json.dumps({"peak_flops": 112e12,
                                                       "mem_bandwidth": 900e9}))
-        script = ("import sys\n"
+        script = ("import sys, prumerge, prumerge.fileio\n"
                   "from prumerge.cli import cli_main\n"
                   "code = cli_main(sys.argv[1:])\n"
+                  "assert prumerge.TokenDumpError is prumerge.fileio.TokenDumpError\n"
                   "print(code, 'numpy' in sys.modules, file=sys.stderr)\n")
         child = subprocess.run([sys.executable, "-c", script] + args, cwd=tmp_path,
                                capture_output=True, text=True, env=child_env(), timeout=120)

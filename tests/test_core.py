@@ -275,9 +275,10 @@ class TestTokenSetValidation:
         with pytest.raises(ValueError, match="grid must be two integers"):
             make_tokens(np.ones((4, 2)), grid=grid)
 
-    def test_grid_accepts_numpy_integers(self):
-        tokens = make_tokens(np.ones((4, 2)), grid=(np.int64(2), np.uint8(2)))
-        assert tokens.n == 4
+    @pytest.mark.parametrize("grid", [(np.int64(2), np.uint8(2)), [2, 2]])
+    def test_grid_is_kept_as_a_tuple_of_python_ints(self, grid):
+        tokens = make_tokens(np.ones((4, 2)), grid=grid)
+        assert tokens.n == 4 and repr(tokens.grid) == "(2, 2)"
 
 
 @pytest.mark.parametrize("n, grid", [(576, (24, 24)), (2880, (120, 24))])
@@ -369,6 +370,58 @@ def pooled_keys(rng, n_heads, n, d_k, pool):
     vectors[0, 0, 0], vectors[1] = 0.0, vectors[0]
     vectors[1, 0, 0] = -0.0
     return vectors[rng.integers(pool, size=n)].transpose(1, 0, 2)
+
+
+def pooled_tokens(rng, grid, n_heads, d_k, pool):
+    n = grid[0] * grid[1]
+    return TokenSet(grid=grid, q_cls=np.zeros((n_heads, d_k)),
+                    K=pooled_keys(rng, n_heads, n, d_k, pool), Y=np.zeros((n, 1)))
+
+
+def test_ranking_does_not_depend_on_the_order_of_the_windows(monkeypatch):
+    # pooled keys tie in every window; handed out last to first, the
+    # windows still rank ties to the lower index, as a stable sort does
+    rng = np.random.default_rng(96)
+    tokens = pooled_tokens(rng, (8, 12), 4, 4, 3)
+    centers = np.sort(rng.choice(tokens.n, size=10, replace=False))
+    monkeypatch.setattr(prumerge.core, "_SIMILARITY_BLOCK_BYTES", 8 * 4 * 4 * 24)
+    monkeypatch.setattr(prumerge.core, "_SIMILARITY_WINDOW_BYTES", 8 * centers.size * 24)
+    ranked = np.argsort(-key_similarity(tokens, centers), axis=1, kind="stable")
+    original = prumerge.core._similarity_windows
+
+    def reversed_windows(*args):
+        windows = [(start, rows.copy()) for start, rows in original(*args)]
+        assert len(windows) == 4
+        return reversed(windows)
+
+    monkeypatch.setattr(prumerge.core, "_similarity_windows", reversed_windows)
+    for k in range(1, tokens.n + 1):
+        assert np.array_equal(prumerge.core._nearest(tokens, centers, k), ranked[:, :k]), k
+
+
+@pytest.mark.parametrize("window_bytes", [0, 8 * 10 * 24, None])  # 6, 4 and 1 windows
+@pytest.mark.parametrize("k", [1, 5, 96])
+def test_ranking_writes_into_no_window(monkeypatch, window_bytes, k):
+    # each window's bytes are checked when the ranking asks for the next one
+    rng = np.random.default_rng(k)
+    tokens = pooled_tokens(rng, (8, 12), 4, 4, 3)
+    centers = np.sort(rng.choice(tokens.n, size=10, replace=False))
+    monkeypatch.setattr(prumerge.core, "_SIMILARITY_BLOCK_BYTES", 8 * 4 * 4 * 24)
+    if window_bytes is not None:
+        monkeypatch.setattr(prumerge.core, "_SIMILARITY_WINDOW_BYTES", window_bytes)
+    original = prumerge.core._similarity_windows
+    seen = []
+
+    def checked(*args):
+        for start, rows in original(*args):
+            before = rows.tobytes()
+            yield start, rows
+            seen.append(start)
+            assert rows.tobytes() == before, start
+
+    monkeypatch.setattr(prumerge.core, "_similarity_windows", checked)
+    prumerge.core._nearest(tokens, centers, k)
+    assert len(seen) == {0: 6, 8 * 10 * 24: 4, None: 1}[window_bytes]
 
 
 @pytest.mark.parametrize("n, grid, n_heads, d_k, m, block_bytes, window_bytes, pool", [

@@ -23,7 +23,7 @@ from prumerge.core import (
     _SIMILARITY_BLOCK_BYTES,
     _SIMILARITY_WINDOW_BYTES,
     _equal_key_columns,
-    _kth_smallest,
+    _kth_largest,
     _nearest,
     _similarity_windows,
 )
@@ -579,9 +579,9 @@ def test_row_blocked_kth_values_equal_a_whole_partition(monkeypatch, budget):
     a = np.random.default_rng(3).integers(-3, 4, size=(37, 11)).astype(np.float64)
     monkeypatch.setattr(prumerge.core, "_PARTITION_BLOCK_BYTES", budget)
     for k in range(1, 12):
-        kth = _kth_smallest(a, k)
+        kth = _kth_largest(a, k)
         assert kth.shape == (37, 1)
-        np.testing.assert_array_equal(kth[:, 0], np.partition(a, k - 1, axis=1)[:, k - 1])
+        np.testing.assert_array_equal(kth[:, 0], np.sort(a, axis=1)[:, -k])
 
 
 def test_floor_fallback_peak_is_bounded_by_the_block_budgets():

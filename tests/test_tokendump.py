@@ -550,12 +550,14 @@ class TestSynthGenerate:
         with pytest.raises(ValueError, match=f"{field} must be"):
             SynthSpec(**fields)
 
-    def test_numpy_integers_accepted(self):
-        i = np.int64
-        spec = SynthSpec(grid=(i(4), i(4)), d=i(2), d_k=i(2), n_heads=i(2), n_spikes=i(3),
+    @pytest.mark.parametrize("i", [np.int64, np.uint8])
+    def test_numpy_integers_accepted(self, i):
+        # kept as Python ints: n = 16 * 16 overflows uint8
+        spec = SynthSpec(grid=(i(16), i(16)), d=i(2), d_k=i(2), n_heads=i(2), n_spikes=i(8),
                          cluster_count=i(2), seed=i(5))
-        plain = SynthSpec(grid=(4, 4), d=2, d_k=2, n_heads=2, n_spikes=3,
+        plain = SynthSpec(grid=(16, 16), d=2, d_k=2, n_heads=2, n_spikes=8,
                           cluster_count=2, seed=5)
+        assert repr(spec) == repr(plain)
         assert synth_generate(spec).K.tobytes() == synth_generate(plain).K.tobytes()
 
     @pytest.mark.parametrize("gain", [True, "6", None])
